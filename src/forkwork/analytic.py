@@ -17,14 +17,24 @@ with the outer expectation over the winner's own transmission latency.
 For the relocation mixture T = move_time * N + T_up everything reduces to
 one reusable object: the exponentially tilted cumulative uplink integral
 W(x) = integral_0^x exp(rate * u) f_up(u) du. W is approximated once per
-configuration by a Chebyshev series and cross-checked against adaptive
-quadrature; q is then closed-form arithmetic, and the outer expectation is
-integrated per mixture shift with a vectorized adaptive Gauss-Legendre rule.
+configuration by a piecewise Chebyshev series and cross-checked against
+adaptive quadrature; q is then closed-form arithmetic. Shifting the lag by
+one relocation gives the exact, contracting recurrence
+
+    q(t + move_time) = p g(t + move_time) + (1 - p) q(t),
+
+with g the survival of a single mixture component, so
+
+    p_no_fork = integral f_up(u) sum_m w_m q(u + m * move_time)^(I - 1) du
+
+is one outer integral over the uplink latency u for all relocation counts m.
+The recurrence needs W only while u + m * move_time < max_uplink; past that
+window q(u + m * move_time) has a closed form in m. The outer range is split
+where q has kinks, at u = max_uplink - k * move_time.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .channel import DiscreteLatency, LatencyDistribution
+from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
 from .model import (
     AnalyticResult,
     LatencyModel,
@@ -74,72 +84,82 @@ class QuadratureError(RuntimeError):
 
 # --- adaptive quadrature ------------------------------------------------
 #
-# Global-greedy bisection with 20-point Gauss-Legendre panels. The error of
-# an interval is |coarse - (left + right)|, which for smooth integrands
-# vastly overestimates the error of the refined value; estimates stay
-# conservative. The integrand must accept numpy arrays.
+# Bisection with 20-point Gauss-Legendre panels. The error of an interval is
+# |coarse - (left + right)|, which for smooth integrands vastly
+# overestimates the error of the refined value; estimates stay
+# conservative. The integrand must accept numpy arrays; each pass of the
+# refinement evaluates it once, on the nodes of every panel in the pass.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def _one_panel(f, lo, hi):
-    h, c = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    vals = np.asarray(f(c + h * _GL_NODES), dtype=float)
+def _gl_panels(f, los, his):
+    """Gauss-Legendre value of ``f`` on each [los[i], his[i]], from one call of ``f``."""
+    h = 0.5 * (his - los)
+    nodes = (0.5 * (los + his))[:, None] + h[:, None] * _GL_NODES
+    vals = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite integrand value")
-    return h * float(_GL_WEIGHTS @ vals)
+    return h * (vals.reshape(nodes.shape) @ _GL_WEIGHTS)
 
 
-def _two_panels(f, lo, mid, hi):
-    h1, c1 = 0.5 * (mid - lo), 0.5 * (lo + mid)
-    h2, c2 = 0.5 * (hi - mid), 0.5 * (mid + hi)
-    pts = np.concatenate([c1 + h1 * _GL_NODES, c2 + h2 * _GL_NODES])
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite integrand value")
-    return h1 * float(_GL_WEIGHTS @ vals[:20]), h2 * float(_GL_WEIGHTS @ vals[20:])
-
-
-def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256):
+def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256, points=()):
     """Integrate vectorized ``f`` over [a, b]; returns (value, error estimate).
 
-    Stops once the total error estimate is below max(abs_tol, rel_tol*|value|).
-    Raises :class:`QuadratureError` if the interval budget runs out first.
+    ``points`` are known breakpoints of ``f`` (kinks, jumps in a derivative);
+    the range is split at those inside (a, b) before any refinement, so no
+    panel straddles one. Each pass then bisects every interval whose error
+    estimate exceeds an equal share of the budget. Stops once the total error
+    estimate is below max(abs_tol, rel_tol*|value|). Raises
+    :class:`QuadratureError` if that needs more than ``max_intervals - 1``
+    bisections.
     """
     if not b > a:
         return 0.0, 0.0
 
-    counter = 0
+    edges = np.unique(np.concatenate(([a, b], [x for x in points if a < x < b])))
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    coarse, left, right = np.split(
+        _gl_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])), 3
+    )
+    leaves = np.array([lo, mid, hi, coarse, left, right])  # one column per interval
+    bisections_left = max_intervals - 1
 
-    def make(lo, hi, coarse):
-        nonlocal counter
-        mid = 0.5 * (lo + hi)
-        left, right = _two_panels(f, lo, mid, hi)
+    while True:
+        lo, mid, hi, coarse, left, right = leaves
         value = left + right
-        counter += 1
-        return (-abs(value - coarse), counter, lo, mid, hi, value, left, right)
-
-    leaves = [make(a, b, _one_panel(f, a, b))]
-    total = leaves[0][5]
-    err_total = -leaves[0][0]
-
-    while err_total > max(abs_tol, rel_tol * abs(total)):
-        if len(leaves) >= max_intervals:
+        err = np.abs(value - coarse)
+        total, err_total = float(value.sum()), float(err.sum())
+        target = max(abs_tol, rel_tol * abs(total))
+        if err_total <= target:
+            return total, err_total
+        if bisections_left <= 0:
             raise QuadratureError(
                 "interval budget exhausted", value=total, error_estimate=err_total
             )
-        neg_err, _, lo, mid, hi, value, left, right = heapq.heappop(leaves)
-        total -= value
-        err_total += neg_err
-        for node in (make(lo, mid, left), make(mid, hi, right)):
-            heapq.heappush(leaves, node)
-            total += node[5]
-            err_total -= node[0]
+        split = np.flatnonzero(err > target / len(err))
+        if len(split) > bisections_left:
+            split = split[np.argsort(-err[split], kind="stable")[:bisections_left]]
+        bisections_left -= len(split)
 
-    return total, err_total
+        # each split interval becomes its two halves, whose coarse values are known
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_mid = 0.5 * (new_lo + new_hi)
+        new_left, new_right = np.split(
+            _gl_panels(f, np.concatenate([new_lo, new_mid]), np.concatenate([new_mid, new_hi])), 2
+        )
+        new_coarse = np.concatenate([left[split], right[split]])
+        children = np.array([new_lo, new_mid, new_hi, new_coarse, new_left, new_right])
+        leaves = np.concatenate([np.delete(leaves, split, axis=1), children], axis=1)
 
 
 # --- survival probability of one competitor ------------------------------
+
+# Element budget of the (point x relocation count) blocks that the survival
+# sums work on, so their memory does not grow with the mixture depth.
+_BLOCK = 1 << 13
 
 
 class _PiecewiseCheb:
@@ -149,7 +169,8 @@ class _PiecewiseCheb:
     local fit drop below coef_tol relative to the global magnitude; panels
     where the function is flat accept immediately, so sharply localized
     integrands stay cheap. Calling the object evaluates the running integral
-    from the left edge.
+    from the left edge: one Clenshaw pass over every point at once, each
+    point reading its own panel's coefficients.
     """
 
     DEGREE = 32
@@ -160,17 +181,14 @@ class _PiecewiseCheb:
         min_width = (b - a) * 2.0**-42
 
         panels = []  # (lo, hi, series), built left to right
-        tail_bound = 0.0
         stack = [(a, b)]
         while stack:
             lo, hi = stack.pop()
             series = Chebyshev.interpolate(f, self.DEGREE, domain=[lo, hi])
             mags = np.abs(series.coef)
             scale = max(scale, float(mags.max()))
-            tail = float(mags[-4:].max())
-            if tail <= coef_tol * scale or (hi - lo) <= min_width:
+            if float(mags[-4:].max()) <= coef_tol * scale or (hi - lo) <= min_width:
                 panels.append((lo, hi, series))
-                tail_bound += tail * (hi - lo)
             else:
                 if len(panels) + len(stack) >= max_panels:
                     raise QuadratureError("piecewise fit exceeded the panel budget")
@@ -179,34 +197,55 @@ class _PiecewiseCheb:
                 stack.append((lo, mid))
 
         self.edges = np.array([p[0] for p in panels] + [b])
-        self.prims = [series.integ(lbnd=lo) for lo, _, series in panels]
-        offsets = [0.0]
-        for (lo, hi, _), prim in zip(panels, self.prims):
-            offsets.append(offsets[-1] + float(prim(hi)))
-        self.offsets = np.array(offsets)
-        self.total = float(self.offsets[-1])
-        self.tail_bound = tail_bound
+        prims = [series.integ(lbnd=lo) for lo, _, series in panels]
+        offsets = np.cumsum([0.0] + [float(prim(hi)) for (_, hi, _), prim in zip(panels, prims)])
+        coef = np.array([prim.coef for prim in prims])
+        coef[:, 0] += offsets[:-1]
+        self._coef = np.ascontiguousarray(coef.T)  # row k: T_k coefficient of every panel
+        self._off, self._scl = np.array([prim.mapparms() for prim in prims]).T
+        self.total = float(offsets[-1])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
-        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self.prims) - 1)
-        out = np.empty(flat.shape)
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = self.offsets[i] + self.prims[i](flat[mask])
+        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self._off) - 1)
+        y = self._off[idx] + self._scl[idx] * flat
+        y2 = 2.0 * y
+        b1, b2 = self._coef[-1][idx], np.zeros_like(y)
+        for row in self._coef[-2:0:-1]:
+            b1, b2 = row[idx] + y2 * b1 - b2, b1
+        out = self._coef[0][idx] + y * b1 - b2
         return out.reshape(x.shape) if x.shape else float(out[0])
+
+
+def _geometric_sum(base, step, count):
+    """sum_{n=0}^{count-1} exp(base + n*step), elementwise over base and count.
+
+    Factors out the largest term so nothing overflows, and uses expm1 so a
+    ratio near 1 keeps its precision.
+    """
+    count = np.asarray(count, dtype=float)
+    if step == 0.0:
+        return count * np.exp(base)
+    if step > 0.0:
+        return np.exp(base + (count - 1.0) * step) * np.expm1(-count * step) / math.expm1(-step)
+    return np.exp(base) * np.expm1(count * step) / math.expm1(step)
 
 
 class _SurvivalEvaluator:
     """Evaluates q(t*) for a relocation-mixture latency distribution.
 
-    Decomposition per relocation count n (x = t* - n * move_time):
-      x <= 0            component has not arrived yet, survives surely;
-      0 < x < max_up    exp(-rate x) W(x) + ccdf_up(x);
-      x >= max_up       carry * exp(-rate x) with carry = E[exp(rate T_up)].
-    Counts beyond the window sum in closed form (geometric), so q itself
-    carries no mixture truncation error.
+    One relocation count n contributes p (1-p)^n g(t* - n move_time), with
+      g(x) = 1                                  x <= onset,
+      g(x) = exp(-rate x) W(x) + ccdf_up(x)     onset < x < max_up,
+      g(x) = carry exp(-rate x)                 x >= max_up, carry = W(max_up).
+    Below the onset the uplink law has no mass in double precision
+    (P(T_up <= onset) = exp(-746) rounds to 0), so those components survive
+    surely, as do those that have not arrived (x <= 0). Only the counts
+    whose shifted lag falls inside (onset, max_up) need W; for each lag
+    there are at most ceil((max_up - onset) / move_time) + 1 of them. The
+    counts before and after that window sum in closed form (geometric), so q
+    itself carries no mixture truncation error.
     """
 
     def __init__(self, dist: LatencyDistribution, rate: float, tol: float):
@@ -216,6 +255,15 @@ class _SurvivalEvaluator:
         hi = dist.max_uplink
         lo = hi * 1e-12
         self._lo = lo
+        top_snr = dist.snr_threshold + 746.0 / dist.snr_rate
+        self._onset = float(uplink_latency(top_snr, dist.ack_bits, dist.bandwidth_hz))
+        self.relocates = dist.variant is LatencyModel.TOTAL and dist.success_prob < 1.0
+        if self.relocates:
+            p = dist.success_prob
+            self._log_stay = math.log1p(-p)
+            # beyond this count p (1-p)^n underflows to an exact 0
+            self._n_zero = math.ceil(750.0 / -self._log_stay)
+            self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
 
         def tilted_pdf(u):
             return np.exp(self.rate * np.asarray(u, dtype=float)) * dist.uplink_pdf(u)
@@ -242,12 +290,12 @@ class _SurvivalEvaluator:
         self.error = error
 
     def _q_component(self, x):
-        """Survival of one mixture component at shifted lag x (vectorized)."""
+        """Survival g of one mixture component at shifted lag x (vectorized)."""
         x = np.asarray(x, dtype=float)
         out = np.ones(x.shape)
         hi = self.dist.max_uplink
         beyond = x >= hi
-        mid = (x > 0.0) & ~beyond
+        mid = (x > self._onset) & ~beyond
         if np.any(mid):
             xm = x[mid]
             w = np.maximum(self._growth(np.clip(xm, self._lo, hi)), 0.0)
@@ -256,49 +304,106 @@ class _SurvivalEvaluator:
             out[beyond] = self.carry * np.exp(-self.rate * x[beyond])
         return out
 
-    def _passed_sum(self, t, n_cut: int):
-        """Closed-form sum of components 0..n_cut-1, all in the x >= max_up regime."""
-        if n_cut <= 0:
-            return 0.0
-        d = self.dist
-        p, tm, r = d.success_prob, d.move_time, self.rate
-        ratio_log = math.log1p(-p) + r * tm
-        base = math.log(p) - r * np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            if abs(ratio_log) < 1e-13:
-                s = np.exp(base) * n_cut
-            elif ratio_log > 690.0:
-                s = np.exp(base + (n_cut - 1) * ratio_log)  # last term dominates
-            else:
-                s = (np.exp(base + n_cut * ratio_log) - np.exp(base)) / math.expm1(ratio_log)
-        return self.carry * s
-
     def survival(self, t_star):
         """q(t*), scalar in, scalar out; array in, array out."""
-        t = np.atleast_1d(np.asarray(t_star, dtype=float))
-        d = self.dist
-        if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
+        t = np.atleast_1d(np.asarray(t_star, dtype=float)).ravel()
+        if not self.relocates:
             out = self._q_component(t)
         else:
-            p, tm, hi = d.success_prob, d.move_time, d.max_uplink
-            t_max, t_min = float(t.max()), float(t.min())
-            if t_max <= 0.0:
-                out = np.ones(t.shape)
-            else:
-                # counts >= n_wait have not arrived for any element; counts
-                # < n_cut are past the uplink window for every element
-                n_wait = max(0, math.ceil(t_max / tm))
-                n_cut = max(0, math.floor((t_min - hi) / tm) + 1) if t_min > hi else 0
-                n_cut = min(n_cut, n_wait)
-                out = np.full(t.shape, (1.0 - p) ** n_wait)
-                counts = np.arange(n_cut, n_wait)
-                if counts.size:
-                    lags = t[None, :] - counts[:, None] * tm
-                    q_parts = self._q_component(lags.ravel()).reshape(lags.shape)
-                    out += (p * (1.0 - p) ** counts) @ q_parts
-                out += self._passed_sum(t, n_cut)
-        out = np.minimum(out, 1.0)
-        return out if np.ndim(t_star) else float(out[0])
+            out = np.empty(t.shape)
+            rows = max(1, _BLOCK // self._window)
+            for start in range(0, len(t), rows):
+                out[start : start + rows] = self._windowed_survival(t[start : start + rows])
+        out = np.minimum(out, 1.0).reshape(np.shape(t_star))
+        return out if np.ndim(t_star) else float(out)
+
+    def _windowed_survival(self, t):
+        d = self.dist
+        p, tm, hi, r = d.success_prob, d.move_time, d.max_uplink, self.rate
+        # counts >= arrived sit at or below the onset (g = 1); counts <
+        # passed are beyond the uplink window (g exponential); the rest need W
+        arrived = np.clip(np.ceil((t - self._onset) / tm), 0.0, None)
+        passed = np.where(t > hi, np.floor((t - hi) / tm) + 1.0, 0.0)
+        passed = np.minimum(passed, arrived)
+        inside_end = np.minimum(arrived, float(self._n_zero))
+        width = int(max(0.0, float(np.max(inside_end - passed))))
+        out = np.exp(arrived * self._log_stay)
+        if width:
+            counts = passed[:, None] + np.arange(width)
+            g = self._q_component(t[:, None] - counts * tm)
+            terms = np.where(counts < inside_end[:, None], np.exp(counts * self._log_stay) * g, 0.0)
+            out += p * terms.sum(axis=1)
+        step = self._log_stay + r * tm
+        out += self.carry * _geometric_sum(math.log(p) - r * t, step, passed)
+        return out
+
+    def mixture_power_sum(self, u, power: int, n_max: int, floor: float):
+        """sum_{m=0}^{n_max} p (1-p)^m q(u + m move_time)^power for lags u in (0, max_up].
+
+        Returns (sums, skipped). Walks m with the exact recurrence
+        q(t + move_time) = p g(t + move_time) + (1-p) q(t), which needs W
+        only while u + m move_time < max_up. Past that window g is carry
+        exp(-rate x), and q(u + m move_time) has a closed form in m; those
+        counts are summed in blocks until the terms left are below ``floor``.
+        ``skipped`` bounds the sum of the terms left out.
+        """
+        u = np.asarray(u, dtype=float)
+        if not self.relocates:
+            return self._q_component(u) ** power, 0.0
+        order = np.argsort(u, kind="stable")
+        out = np.empty(u.shape)
+        skipped = 0.0
+        d = self.dist
+        width = self._window + min(n_max, math.ceil(d.max_uplink / d.move_time)) + 1
+        rows = max(1, _BLOCK // width)
+        for start in range(0, len(u), rows):
+            pick = order[start : start + rows]
+            out[pick], cut = self._mixture_block(u[pick], power, n_max, floor)
+            skipped = max(skipped, cut)
+        return out, skipped
+
+    def _mixture_block(self, u, power, n_max, floor):
+        d = self.dist
+        p, tm, hi, r = d.success_prob, d.move_time, d.max_uplink, self.rate
+        stay, log_stay = 1.0 - p, self._log_stay
+        # q(u + k tm) = 1 for k <= first (the lag is at or below the onset);
+        # counts that far back weigh (1-p)^n_zero = 0 when the window is cut there
+        first = -min(max(1, math.ceil((float(u[-1]) - self._onset) / tm)), self._n_zero)
+        last = min(n_max, max(0, math.ceil((hi - float(u[0])) / tm) - 1))
+        ks = np.arange(first + 1, last + 1)
+        g = self._q_component(ks[:, None] * tm + u)
+        q = np.ones(u.shape)
+        total = np.zeros(u.shape)
+        for k, g_k in zip(ks, g):
+            q = stay * q + p * g_k
+            if k >= 0:
+                total += p * stay**k * q**power
+        if last >= n_max:
+            return total, 0.0
+
+        # m = last + j: q = (1-p)^j q_last + c sum_{i=1}^{j} (1-p)^(j-i) rho^i
+        log_rho = -r * tm
+        c = p * self.carry * np.exp(-r * (u + last * tm))
+        cols = max(16, _BLOCK // len(u))
+        for j0 in range(1, n_max - last + 1, cols):
+            j = np.arange(j0, min(j0 + cols, n_max - last + 1), dtype=float)
+            mixed = _geometric_sum(log_rho + (j - 1.0) * log_stay, log_rho - log_stay, j)
+            qj = np.exp(j * log_stay) * q[:, None] + c[:, None] * mixed
+            weights = p * np.exp((last + j) * log_stay)
+            total += (qj**power) @ weights
+            rest = float(np.max(qj[:, -1] ** power)) * math.exp((last + j[-1] + 1.0) * log_stay)
+            if rest <= floor:
+                return total, rest
+        return total, 0.0
+
+    def kinks(self, n_max: int):
+        """Lags u in (0, max_up) where some q(u + m move_time), m <= n_max,
+        jumps in its second derivative: u = max_up - k move_time."""
+        if not self.relocates:
+            return []
+        d = self.dist
+        count = min(n_max, math.floor(d.max_uplink / d.move_time))
+        return [d.max_uplink - k * d.move_time for k in range(1, count + 1)]
 
 
 @lru_cache(maxsize=32)
@@ -334,34 +439,31 @@ def survival_prob(t_star, dist, compute_rate: float | None = None, *, tol: float
 
 def _pn_attempt(dist, num_miners, rate, tol, eps_comp, inner_tol, max_depth):
     ev = _evaluator(dist, rate, inner_tol)
-    weights = dist.mixture_weights()
     lo = dist.max_uplink * 1e-12
     hi = dist.max_uplink
     power = num_miners - 1
-    shift_step = dist.move_time if dist.variant is LatencyModel.TOTAL else 0.0
-
-    total = 0.0
-    quad_err = 0.0
+    n_max = dist.n_max
+    floor = 1e-3 * eps_comp
     skipped = 0.0
-    skip_floor = 1e-3 * eps_comp / max(1, len(weights))
-    for m, w in enumerate(weights):
-        if w <= skip_floor:
-            skipped += w
-            continue
-        shift = m * shift_step
 
-        def integrand(u, _shift=shift):
-            return dist.uplink_pdf(u) * ev.survival(u + _shift) ** power
+    def integrand(u):
+        nonlocal skipped
+        sums, cut = ev.mixture_power_sum(u, power, n_max, floor)
+        skipped = max(skipped, cut)
+        return dist.uplink_pdf(u) * sums
 
-        value, err = integrate_adaptive(
-            integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, max_intervals=max_depth
-        )
-        total += w * value
-        quad_err += w * err
-
-    tail = max(0.0, 1.0 - float(weights.sum())) + skipped
-    err_est = quad_err + tail + power * ev.error + float(dist.uplink_cdf(lo))
-    return total, err_est
+    value, quad_err = integrate_adaptive(
+        integrand,
+        lo,
+        hi,
+        rel_tol=0.1 * tol,
+        abs_tol=eps_comp,
+        max_intervals=max_depth,
+        points=ev.kinks(n_max),
+    )
+    tail = (1.0 - dist.success_prob) ** (n_max + 1) if ev.relocates else 0.0
+    err_est = quad_err + tail + skipped + power * ev.error + float(dist.uplink_cdf(lo))
+    return value, err_est
 
 
 def no_forking_probability(
@@ -451,14 +553,28 @@ def expected_uplink_latency(
     )
 
 
+def _latency_means(config: SystemConfig, dist) -> tuple[float, float]:
+    """(E[T_up], E[T_move]) under the latency law the race is judged with."""
+    if dist is None:
+        return expected_uplink_latency(config)[0], expected_mobility_latency(config)
+    if isinstance(dist, DiscreteLatency):
+        # the whole delay is booked as uplink time; it never relocates
+        return float(np.dot(dist.weights, dist.atoms)), 0.0
+    exp_up, _ = integrate_adaptive(
+        dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=config.quadrature_tol
+    )
+    return exp_up, dist.move_time * (1.0 - dist.success_prob) / dist.success_prob
+
+
 def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
     """All analytic outputs for one configuration.
 
     The per-round winner energy is compute_power * E[min compute] +
     tx_power * E[uplink] + mobility_power * E[relocation]; rounds per block
     are geometric with mean 1/p_no_fork, so the block energy is their ratio.
-    Raises :class:`QuadratureError` when p_no_fork is below 1e-9 (the block
-    energy would be unreliable).
+    A ``dist`` override sets p_no_fork and both latency means. Raises
+    :class:`QuadratureError` when p_no_fork is below 1e-9 (the block energy
+    would be unreliable).
     """
     ensure_valid(config)
     p_nofork, p_err = no_forking_probability(config, dist=dist)
@@ -469,8 +585,7 @@ def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
             error_estimate=p_err,
         )
     exp_min = expected_min_compute_latency(config)
-    exp_mob = expected_mobility_latency(config)
-    exp_up, _ = expected_uplink_latency(config)
+    exp_up, exp_mob = _latency_means(config, dist)
     round_energy = (
         config.miner.compute_power_w * exp_min
         + config.channel.tx_power_w * exp_up

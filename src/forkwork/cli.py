@@ -19,6 +19,7 @@ from .analytic import QuadratureError, evaluate
 from .channel import derive_seed
 from .model import (
     CONFIG_KEYS,
+    AnalyticResult,
     ConfigError,
     SystemConfig,
     config_digest,
@@ -182,8 +183,7 @@ def preset_jobs(name: str) -> list[tuple[str, object, SystemConfig]]:
 # --- commands ---------------------------------------------------------------
 
 
-def _analytic_row(config: SystemConfig) -> str:
-    result = evaluate(config)
+def _analytic_row(config: SystemConfig, result: AnalyticResult) -> str:
     cells = [
         result.no_fork_prob,
         result.quadrature_error,
@@ -208,7 +208,7 @@ def cmd_analytic(args) -> int:
     _note(f"E[uplink latency]:      {result.exp_uplink:.10g} s")
     _note(f"round energy:           {result.exp_round_energy:.10g} J")
     _note(f"avg block energy:       {result.avg_block_energy:.10g} J")
-    _emit_csv([ANALYTIC_COLUMNS, _analytic_row(config)], args.out)
+    _emit_csv([ANALYTIC_COLUMNS, _analytic_row(config, result)], args.out)
     return EXIT_OK
 
 
@@ -329,6 +329,13 @@ def cmd_sweep(args) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; keep 2 reserved for quadrature
     # failures by funnelling usage problems through ConfigError instead.
@@ -350,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=100_000, help="independent PoW rounds")
     p_sim.add_argument("--blocks", type=int, default=2_000, help="independent block recoveries")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_sim.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
     p_sim.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -361,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=None, help="rounds per sweep point")
     p_sweep.add_argument("--blocks", type=int, default=None, help="blocks per sweep point")
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed for point substreams")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -270,10 +270,12 @@ def _mean_se(n: int, total: float, total_sq: float) -> Estimate:
 
 
 def _run_tasks(fn, arg_lists, workers: int):
+    tasks = list(zip(*arg_lists))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *arg_lists))
-    return list(map(fn, *arg_lists))
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*args) for args in tasks]
 
 
 def estimate(

@@ -1,11 +1,15 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
+from forkwork import analytic
 from forkwork.analytic import (
     QuadratureError,
     expected_min_compute_latency,
@@ -17,6 +21,7 @@ from forkwork.analytic import (
     survival_prob,
 )
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
+from forkwork.cli import preset_jobs
 from forkwork.model import LatencyModel, default_config, derive
 from forkwork.simulator import estimate
 
@@ -60,6 +65,20 @@ def test_integrator_budget_exhaustion_raises():
 def test_integrator_rejects_non_finite():
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: 1.0 / np.asarray(x), 0.0, 1.0, rel_tol=1e-8)
+
+
+def test_integrator_breakpoints_split_the_range():
+    # |x - 0.3| has a kink at 0.3; split there, each panel is a polynomial
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.abs(x - 0.3)
+
+    value, err = integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-12, points=(0.3, 2.0))
+    assert value == pytest.approx(0.045 + 0.245, abs=1e-15)
+    assert err <= 1e-12
+    assert calls == [2 * 3 * 20]  # two intervals, three panels each, one call
 
 
 def test_integrator_empty_interval():
@@ -107,6 +126,67 @@ def test_survival_matches_direct_expectation():
         mc = np.mean(np.exp(-d.compute_rate * np.maximum(0.0, t_star - t)))
         se = np.std(np.exp(-d.compute_rate * np.maximum(0.0, t_star - t))) / math.sqrt(len(t))
         assert abs(survival_prob(t_star, d) - mc) <= 4 * se + 1e-6
+
+
+def test_piecewise_chebyshev_running_integral():
+    f = lambda x: np.exp(3.0 * x) * np.sin(5.0 * x) + 1.0
+    prim = lambda x: np.exp(3.0 * x) * (3.0 * np.sin(5.0 * x) - 5.0 * np.cos(5.0 * x)) / 34.0 + x
+    cheb = analytic._PiecewiseCheb(f, 0.0, 2.0, 1e-14)
+    x = np.linspace(0.0, 2.0, 1001)
+    assert np.max(np.abs(cheb(x) - (prim(x) - prim(0.0)))) <= 1e-12
+    assert cheb.total == pytest.approx(prim(2.0) - prim(0.0), abs=1e-12)
+    assert cheb(0.7) == pytest.approx(prim(0.7) - prim(0.0), abs=1e-12)
+
+
+def _fig4_config(snr_q, tx_power_w):
+    label = f"tx_power_w@snr_q={snr_q:g}"
+    (cfg,) = [c for name, v, c in preset_jobs("fig4") if name == label and v == tx_power_w]
+    return cfg
+
+
+def test_survival_window_matches_component_loop():
+    # reference: every relocation count up to the first one that has not
+    # arrived for any lag, one component at a time
+    d = _dist(_fig4_config(1.0, 0.05))  # mixture depth 190
+    ev = analytic._evaluator(d, d.compute_rate, 1e-9)
+    assert d.uplink_cdf(ev._onset) == 0.0  # no mass below the onset
+    t = np.linspace(-0.01, d.n_max * d.move_time + 2 * d.max_uplink, 997)
+    p = d.success_prob
+    last = math.ceil(t.max() / d.move_time)
+    ref = (1.0 - p) ** (last + 1) * np.ones_like(t)
+    for n in range(last + 1):
+        ref += p * (1.0 - p) ** n * ev._q_component(t - n * d.move_time)
+    assert np.max(np.abs(survival_prob(t, d) - np.minimum(ref, 1.0))) <= 1e-14
+
+
+def test_mixture_power_sum_matches_component_loop():
+    d = _dist(_fig4_config(1.0, 0.05))
+    ev = analytic._evaluator(d, d.compute_rate, 1e-9)
+    u = np.linspace(d.max_uplink * 1e-3, d.max_uplink, 301)
+    p, power = d.success_prob, 9
+    ref = sum(
+        p * (1.0 - p) ** m * survival_prob(u + m * d.move_time, d) ** power
+        for m in range(d.n_max + 1)
+    )
+    sums, skipped = ev.mixture_power_sum(u, power, d.n_max, 1e-15)
+    assert skipped <= 1e-15
+    assert np.max(np.abs(sums - ref)) <= 1e-13 + skipped
+
+
+def test_survival_memory_does_not_grow_with_mixture_depth():
+    d = _dist(_fig4_config(2.0, 0.05))
+    assert d.n_max == 1494
+    survival_prob(0.1, d)  # build the evaluator outside the measurement
+    t = np.linspace(0.0, d.n_max * d.move_time + d.max_uplink, 100_000)
+    tracemalloc.start()
+    try:
+        q = survival_prob(t, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.all((q >= 0.0) & (q <= 1.0))
+    assert np.all(np.diff(q) <= 1e-12)
 
 
 # --- no-forking probability ------------------------------------------------
@@ -188,6 +268,68 @@ def test_no_fork_error_estimate_invariant():
     p, err = no_forking_probability(cfg)
     assert 0.0 < p <= 1.0
     assert err <= cfg.quadrature_tol * p
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _fig4_config(1.0, 0.05),  # mixture depth 190
+        _fig4_config(2.0, 0.05),  # mixture depth 1494
+        _fig4_config(1.0, 1.0),
+        default_config(2, tx_power_w=0.1, snr_fraction=0.5),
+        default_config(5, tx_power_w=1.0, snr_fraction=1.0),
+        default_config(10, tx_power_w=1.0, snr_fraction=0.5),
+        default_config(20, tx_power_w=0.1, snr_fraction=1.0),
+    ],
+)
+def test_no_fork_error_estimate_bounds_true_error(cfg):
+    p, err = no_forking_probability(cfg)
+    tight = replace(cfg, quadrature_tol=1e-11, mixture_truncation=1e-15)
+    p_ref, ref_err = no_forking_probability(tight)
+    assert abs(p - p_ref) <= err + ref_err
+    assert err <= cfg.quadrature_tol * p
+
+
+def test_outer_quadrature_count_does_not_grow_with_mixture_depth(monkeypatch):
+    counts = []
+    for snr_q in (0.25, 2.0):  # mixture depth 29 and 1494
+        calls = []
+        real = analytic.integrate_adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", counting)
+        analytic._evaluator.cache_clear()
+        no_forking_probability(_fig4_config(snr_q, 0.05))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    tx_power_w=st.floats(0.05, 1.0),
+    snr_fraction=st.floats(0.05, 4.0),
+    miners=st.integers(2, 30),
+    more=st.integers(1, 30),
+    wireless_only=st.booleans(),
+)
+def test_no_fork_property_in_unit_interval_and_falls_with_miners(
+    tx_power_w, snr_fraction, miners, more, wireless_only
+):
+    model = LatencyModel.WIRELESS_ONLY if wireless_only else LatencyModel.TOTAL
+    values = []
+    for count in (miners, miners + more):
+        cfg = default_config(
+            count, tx_power_w=tx_power_w, snr_fraction=snr_fraction, latency_model=model
+        )
+        p, err = no_forking_probability(cfg)
+        assert 0.0 <= p <= 1.0
+        values.append((p, err))
+    (p_few, err_few), (p_many, err_many) = values
+    assert p_many <= p_few + err_few + err_many
 
 
 def test_variants_coincide_without_relocation():
@@ -291,6 +433,13 @@ def test_energy_components_positive_and_bounded():
     assert res.exp_uplink > 0
     assert res.avg_block_energy >= default_config().miner.compute_power_w * res.exp_min_compute
     assert 0 < res.no_fork_prob <= 1
+
+
+def test_evaluate_takes_latency_means_from_override():
+    res = evaluate(default_config(num_miners=4), dist=DiscreteLatency.constant(0.01))
+    assert res.no_fork_prob == pytest.approx(1.0, abs=1e-15)
+    assert res.exp_uplink == 0.01
+    assert res.exp_mobility == 0.0
 
 
 def test_energy_reduction_matches_simulator():

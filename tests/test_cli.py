@@ -48,6 +48,20 @@ def test_analytic_stdout_csv(tmp_path, capsys):
     assert "no-forking probability" in captured.err
 
 
+def test_analytic_evaluates_once(tmp_path, monkeypatch):
+    path = _write_config(tmp_path)
+    calls = []
+    real = cli.evaluate
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    assert cli.main(["analytic", path, "--out", str(tmp_path / "row.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_missing_key_exit_code(tmp_path, capsys):
     text = config_text(default_config())
     text = "\n".join(l for l in text.splitlines() if not l.startswith("ack_bits"))
@@ -134,6 +148,17 @@ def test_simulate_seed_override_changes_results(tmp_path):
 def test_simulate_trials_floor(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert cli.main(["simulate", path, "--trials", "50"]) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
+    if command == "simulate":
+        args = ["simulate", _write_config(tmp_path), "--trials", "100", "--blocks", "100"]
+    else:
+        args = ["sweep", _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 1\n")]
+    assert cli.main(args + ["--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
 
 
 # --- sweep -------------------------------------------------------------------
