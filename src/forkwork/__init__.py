@@ -13,7 +13,6 @@ plus a CLI (``forkwork``) that reproduces the standard parameter sweeps.
 from .analytic import (
     QuadratureError,
     QuadratureSpec,
-    average_block_energy,
     evaluate,
     expected_min_compute_latency,
     expected_mobility_latency,
@@ -53,22 +52,15 @@ from .model import (
     validate,
 )
 from .simulator import (
-    BlockResult,
     Estimate,
-    RoundOutcome,
-    RoundSample,
     SimulationSummary,
     estimate,
-    run_block,
-    run_round,
-    sample_round,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticResult",
-    "BlockResult",
     "ChannelParams",
     "ConfigError",
     "DerivedParams",
@@ -79,11 +71,8 @@ __all__ = [
     "MinerParams",
     "QuadratureError",
     "QuadratureSpec",
-    "RoundOutcome",
-    "RoundSample",
     "SimulationSummary",
     "SystemConfig",
-    "average_block_energy",
     "config_digest",
     "config_text",
     "default_channel",
@@ -102,11 +91,8 @@ __all__ = [
     "mean_snr",
     "no_forking_probability",
     "parse_config_text",
-    "run_block",
-    "run_round",
     "sample_compute_latency",
     "sample_num_movements",
-    "sample_round",
     "sample_snr_conditional",
     "substream",
     "survival_prob",

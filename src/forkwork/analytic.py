@@ -60,7 +60,6 @@ __all__ = [
     "expected_min_compute_latency",
     "expected_mobility_latency",
     "expected_uplink_latency",
-    "average_block_energy",
     "evaluate",
 ]
 
@@ -599,8 +598,3 @@ def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
         avg_block_energy=round_energy / p_nofork,
         quadrature_error=p_err,
     )
-
-
-def average_block_energy(config: SystemConfig) -> float:
-    """Mean winner energy spent until a block commits without forking, J."""
-    return evaluate(config).avg_block_energy

@@ -33,7 +33,6 @@ __all__ = [
     "exponential_inverse",
     "sample_compute_latency",
     "sample_num_movements",
-    "conditional_snr_inverse",
     "sample_snr_conditional",
     "uplink_latency",
     "LatencyDistribution",
@@ -89,20 +88,18 @@ def sample_num_movements(rng: np.random.Generator, success_prob: float, size=Non
     return rng.geometric(success_prob, size) - 1
 
 
-def conditional_snr_inverse(u, snr_rate: float, snr_threshold: float):
-    """Inverse-CDF map for the above-threshold SNR: threshold - ln(u)/rate."""
-    return snr_threshold - np.log(u) / snr_rate
-
-
 def sample_snr_conditional(
     rng: np.random.Generator, snr_rate: float, snr_threshold: float, size=None
 ):
-    """SNR at the first location that beat the threshold (shifted exponential)."""
+    """SNR at the first location that beat the threshold (shifted exponential).
+
+    Inverse-CDF draw: threshold - ln(u) / rate, with u uniform on (0, 1].
+    """
     if snr_rate <= 0.0:
         raise ValueError("snr_rate must be positive")
     if snr_threshold < 0.0:
         raise ValueError("snr_threshold must be non-negative")
-    return conditional_snr_inverse(_uniform_open_closed(rng, size), snr_rate, snr_threshold)
+    return snr_threshold - np.log(_uniform_open_closed(rng, size)) / snr_rate
 
 
 def uplink_latency(snr, ack_bits: float, bandwidth_hz: float):

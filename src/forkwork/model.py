@@ -403,8 +403,16 @@ def config_text(config: SystemConfig) -> str:
 
 
 def config_digest(config: SystemConfig) -> str:
-    """Short stable hash of the full configuration (for CSV provenance)."""
-    blob = ";".join(f"{k}={v!r}" for k, v in config_items(config))
+    """Short stable hash of every input that can change an output (CSV provenance).
+
+    Covers the config-file keys plus the analytic tolerances, which are not
+    file keys.
+    """
+    items = config_items(config) + [
+        ("quadrature_tol", config.quadrature_tol),
+        ("mixture_truncation", config.mixture_truncation),
+    ]
+    blob = ";".join(f"{k}={v!r}" for k, v in items)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

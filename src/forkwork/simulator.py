@@ -15,73 +15,29 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .channel import LatencyDistribution, substream
+from .channel import LatencyDistribution, sample_compute_latency, substream
 from .model import SystemConfig, derive, ensure_valid
 
 __all__ = [
-    "RoundSample",
-    "RoundOutcome",
-    "BlockResult",
     "Estimate",
     "SimulationSummary",
-    "sample_round",
-    "run_round",
-    "run_block",
     "estimate",
     "ROUND_CHUNK",
     "BLOCK_CHUNK",
+    "BLOCK_BATCH",
 ]
 
 ROUND_CHUNK = 4096
 BLOCK_CHUNK = 256
+BLOCK_BATCH = 512  # rounds drawn per batch on a block substream; fixed for reproducibility
 _ROUND_STREAM = 0
 _BLOCK_STREAM = 1
-
-
-@dataclass
-class RoundSample:
-    """Raw per-miner draws of one round (arrays indexed by miner)."""
-
-    compute_s: np.ndarray  # PoW completion times
-    movements: np.ndarray  # relocation counts
-    uplink_s: np.ndarray  # uplink transmission latencies
-    total_s: np.ndarray  # race latency per the configured variant
-    arrival_s: np.ndarray  # compute + race latency
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Judged result of one round; energy is the rightful winner's.
-
-    ``system_energy_j`` is an extension metric: the fleet-wide round energy,
-    charging each losing miner its compute power until the winner's ACK lands
-    (zero-latency backhaul). It is reported for context only and takes no part
-    in the analytic cross-checks.
-    """
-
-    fastest_compute_index: int
-    first_arrival_index: int
-    forked: bool
-    winner_energy_j: float
-    winner_compute_s: float
-    winner_move_s: float
-    winner_uplink_s: float
-    system_energy_j: float
-
-
-@dataclass(frozen=True)
-class BlockResult:
-    """Rounds raced until a commit (or the cap), with accumulated winner energy."""
-
-    rounds: int
-    total_energy_j: float
-    capped: bool
-    outcomes: tuple[RoundOutcome, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -105,7 +61,7 @@ class SimulationSummary:
     mean_winner_compute: Estimate
     mean_winner_move: Estimate
     mean_winner_uplink: Estimate
-    mean_system_energy: Estimate  # extension metric, see RoundOutcome
+    mean_system_energy: Estimate  # extension metric, see _race
     round_trials: int
     block_trials: int
     capped_blocks: int
@@ -113,109 +69,25 @@ class SimulationSummary:
     config: SystemConfig
 
 
-def sample_round(rng: np.random.Generator, config: SystemConfig, dist=None) -> RoundSample:
-    """Draw one round's per-miner latencies. Draw order: compute, then channel."""
-    from .channel import sample_compute_latency
+def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
+    """Race ``count`` independent rounds in one batch.
 
-    d = derive(config.channel, config.miner)
-    if dist is None:
-        dist = LatencyDistribution.from_config(config)
-    size = config.num_miners
-    compute = sample_compute_latency(rng, d.compute_rate, size)
-    moves, uplink = dist.sample_components(rng, size)
-    total = dist.total_from_components(moves, uplink)
-    return RoundSample(
-        compute_s=compute,
-        movements=np.asarray(moves),
-        uplink_s=np.asarray(uplink, dtype=float),
-        total_s=total,
-        arrival_s=compute + total,
-    )
-
-
-def judge_round(sample: RoundSample, config: SystemConfig) -> RoundOutcome:
-    """Pick winners and book the rightful winner's energy. Ties go to the lowest index."""
-    d = derive(config.channel, config.miner)
-    fastest = int(np.argmin(sample.compute_s))
-    first = int(np.argmin(sample.arrival_s))
-    move_s = float(sample.movements[fastest]) * d.move_time_s
-    energy = (
-        config.miner.compute_power_w * float(sample.compute_s[fastest])
-        + config.miner.mobility_power_w * move_s
-        + config.channel.tx_power_w * float(sample.uplink_s[fastest])
-    )
-    losers = config.num_miners - 1
-    system_energy = energy + losers * config.miner.compute_power_w * float(
-        sample.arrival_s[fastest]
-    )
-    return RoundOutcome(
-        fastest_compute_index=fastest,
-        first_arrival_index=first,
-        forked=fastest != first,
-        winner_energy_j=energy,
-        winner_compute_s=float(sample.compute_s[fastest]),
-        winner_move_s=move_s,
-        winner_uplink_s=float(sample.uplink_s[fastest]),
-        system_energy_j=system_energy,
-    )
-
-
-def run_round(rng: np.random.Generator, config: SystemConfig, dist=None) -> RoundOutcome:
-    return judge_round(sample_round(rng, config, dist), config)
-
-
-def run_block(
-    rng: np.random.Generator,
-    config: SystemConfig,
-    max_rounds: int = 10_000,
-    dist=None,
-    keep_outcomes: bool = False,
-) -> BlockResult:
-    """Race rounds until one commits without forking, or the cap is hit.
-
-    Every round's winner energy is accumulated, including the final
-    committing round. A cap hit is flagged, never silent.
+    Draw order: every compute time, then every relocation count, then every
+    SNR, each as a (count, miners) array. The rightful winner is the fastest
+    computer; a round forks when the first ACK to arrive is someone else's.
+    Ties go to the lowest index. Returns per-round arrays: forked, winner
+    energy, winner compute, move and uplink times, and the system energy.
+    The system energy is an extension metric: the winner's energy plus each
+    losing miner's compute power until the winner's ACK lands (zero-latency
+    backhaul). It takes no part in the analytic cross-checks.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if dist is None:
-        dist = LatencyDistribution.from_config(config)
-    outcomes: list[RoundOutcome] = []
-    energy = 0.0
-    rounds = 0
-    forked = True
-    while forked and rounds < max_rounds:
-        outcome = run_round(rng, config, dist)
-        rounds += 1
-        energy += outcome.winner_energy_j
-        forked = outcome.forked
-        if keep_outcomes:
-            outcomes.append(outcome)
-    return BlockResult(
-        rounds=rounds,
-        total_energy_j=energy,
-        capped=forked,
-        outcomes=tuple(outcomes) if keep_outcomes else None,
-    )
-
-
-# --- chunked estimation -----------------------------------------------------
-
-
-def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
-    """Simulate ``count`` independent rounds; return commutative partial sums."""
-    from .channel import sample_compute_latency
-
-    rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
     d = derive(config.channel, config.miner)
     shape = (count, config.num_miners)
     compute = sample_compute_latency(rng, d.compute_rate, shape)
     moves, uplink = dist.sample_components(rng, shape)
-    total = dist.total_from_components(moves, uplink)
-    arrival = compute + total
+    arrival = compute + dist.total_from_components(moves, uplink)
 
     fastest = np.argmin(compute, axis=1)
-    first = np.argmin(arrival, axis=1)
     rows = np.arange(count)
     s_win = compute[rows, fastest]
     move_win = np.asarray(moves)[rows, fastest] * d.move_time_s
@@ -228,34 +100,73 @@ def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
     system = energy + (
         (config.num_miners - 1) * config.miner.compute_power_w * arrival[rows, fastest]
     )
-    return (
-        count,
-        int(np.count_nonzero(fastest != first)),
-        float(energy.sum()),
-        float((energy**2).sum()),
-        float(s_win.sum()),
-        float((s_win**2).sum()),
-        float(move_win.sum()),
-        float((move_win**2).sum()),
-        float(up_win.sum()),
-        float((up_win**2).sum()),
-        float(system.sum()),
-        float((system**2).sum()),
-    )
+    forked = fastest != np.argmin(arrival, axis=1)
+    return forked, energy, s_win, move_win, up_win, system
+
+
+# --- chunked estimation -----------------------------------------------------
+
+
+def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
+    """Simulate ``count`` independent rounds; return commutative partial sums."""
+    rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
+    forked, *values = _race(rng, config, dist, count)
+    sums = [count, int(np.count_nonzero(forked))]
+    for v in values:
+        sums += [float(v.sum()), float((v**2).sum())]
+    return tuple(sums)
+
+
+def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
+    """Rounds, winner energy and cap flag of each of ``count`` blocks.
+
+    A block races rounds until one commits without forking, or until
+    ``max_rounds`` rounds have all forked (a capped block, flagged, never
+    silent); every round's winner energy counts, the committing one too.
+    Rounds are i.i.d., so the chunk draws one round stream in batches of
+    BLOCK_BATCH from its substream and cuts it into blocks; the open block
+    carries over to the next batch. Rounds after the last block are unused.
+    """
+    rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
+    index = np.arange(1, BLOCK_BATCH + 1)
+    rounds, energy, capped = [], [], []
+    open_rounds, open_energy, done = 0, 0.0, 0
+    while done < count:
+        forked, win_energy = _race(rng, config, dist, BLOCK_BATCH)[:2]
+        # rounds since the last commit, the open block's included; a run of
+        # forks is cut into capped blocks at every multiple of max_rounds
+        commits = np.maximum.accumulate(np.where(forked, -open_rounds, index))
+        since = index - np.concatenate(([-open_rounds], commits[:-1]))
+        ends = np.flatnonzero(~forked | (since % max_rounds == 0))[: count - done]
+        if ends.size == 0:
+            open_rounds += BLOCK_BATCH
+            open_energy += float(win_energy.sum())
+            continue
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        block_rounds = ends - starts + 1
+        block_rounds[0] += open_rounds
+        block_energy = np.add.reduceat(win_energy[: ends[-1] + 1], starts)
+        block_energy[0] += open_energy
+        rounds.append(block_rounds)
+        energy.append(block_energy)
+        capped.append(forked[ends])
+        open_rounds = BLOCK_BATCH - 1 - int(ends[-1])
+        open_energy = float(win_energy[ends[-1] + 1 :].sum())
+        done += ends.size
+    return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
 
 
 def _block_chunk(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
-    rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
-    rounds_sum = rounds_sq = energy_sum = energy_sq = 0.0
-    capped = 0
-    for _ in range(count):
-        block = run_block(rng, config, max_rounds=max_rounds, dist=dist)
-        rounds_sum += block.rounds
-        rounds_sq += block.rounds**2
-        energy_sum += block.total_energy_j
-        energy_sq += block.total_energy_j**2
-        capped += int(block.capped)
-    return (count, rounds_sum, rounds_sq, energy_sum, energy_sq, capped)
+    rounds, energy, capped = _blocks(config, dist, chunk_index, count, max_rounds)
+    rounds = rounds.astype(float)
+    return (
+        count,
+        float(rounds.sum()),
+        float((rounds**2).sum()),
+        float(energy.sum()),
+        float((energy**2).sum()),
+        int(np.count_nonzero(capped)),
+    )
 
 
 def _chunk_sizes(total: int, chunk: int) -> list[int]:
@@ -269,13 +180,28 @@ def _mean_se(n: int, total: float, total_sq: float) -> Estimate:
     return Estimate(mean, math.sqrt(var / n))
 
 
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), one per process
+
+
 def _run_tasks(fn, arg_lists, workers: int):
+    """``fn`` over the zipped argument lists, results in task order.
+
+    More than one worker uses the process's one pool, started on first use
+    and replaced only when a different worker count is asked for.
+    """
+    global _pool
     tasks = list(zip(*arg_lists))
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*args) for args in tasks]
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*args) for args in tasks]
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_pool[1].map(fn, *zip(*tasks)))
+    except BrokenProcessPool:
+        _pool = None  # a worker died; the next call starts a new pool
+        raise
 
 
 def estimate(
@@ -296,6 +222,8 @@ def estimate(
     ensure_valid(config)
     if num_round_trials < 100 or num_blocks < 100:
         raise ValueError("trial counts must be >= 100")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     if dist is None:
         dist = LatencyDistribution.from_config(config)
 

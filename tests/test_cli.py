@@ -269,6 +269,35 @@ def test_sweep_preset_deterministic_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_starts_one_pool(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from forkwork import simulator
+
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(simulator, "_pool", None)
+    # two round chunks and two block chunks per point, three points
+    spec = _sweep_file(
+        tmp_path,
+        "sweep_param = num_miners\n"
+        "sweep_values = 2, 5, 10\n"
+        "round_trials = 8192\nblock_trials = 512\n",
+    )
+    try:
+        assert cli.main(["sweep", spec, "--workers", "2", "--out", str(tmp_path / "t.csv")]) == 0
+    finally:
+        if simulator._pool is not None:
+            simulator._pool[1].shutdown()
+    assert started == [2]
+
+
 def test_sweep_point_failure_warns_and_continues(tmp_path):
     # 250 dB threshold kills the location success probability at that point
     spec = _sweep_file(

@@ -197,6 +197,16 @@ def test_config_digest_stability():
     assert len(a) == 12
 
 
+def test_config_digest_covers_tolerances():
+    base = default_config()
+    digests = {
+        config_digest(base),
+        config_digest(replace(base, quadrature_tol=1e-11)),
+        config_digest(replace(base, mixture_truncation=1e-15)),
+    }
+    assert len(digests) == 3
+
+
 def test_channel_params_frozen():
     ch = default_config().channel
     with pytest.raises(Exception):
