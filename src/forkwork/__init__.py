@@ -12,7 +12,6 @@ plus a CLI (``forkwork``) that reproduces the standard parameter sweeps.
 
 from .analytic import (
     QuadratureError,
-    QuadratureSpec,
     evaluate,
     expected_min_compute_latency,
     expected_mobility_latency,
@@ -70,7 +69,6 @@ __all__ = [
     "LatencyModel",
     "MinerParams",
     "QuadratureError",
-    "QuadratureSpec",
     "SimulationSummary",
     "SystemConfig",
     "config_digest",

@@ -36,7 +36,6 @@ where q has kinks, at u = max_uplink - k * move_time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +51,6 @@ from .model import (
 )
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "integrate_adaptive",
     "survival_prob",
@@ -62,14 +60,6 @@ __all__ = [
     "expected_uplink_latency",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature control: relative tolerance and subdivision budget."""
-
-    rel_tol: float = 1e-8
-    max_depth: int = 256
 
 
 class QuadratureError(RuntimeError):
@@ -418,7 +408,7 @@ def _discrete_survival(t_star, dist: DiscreteLatency, rate: float):
     return out if np.ndim(t_star) else float(out[0])
 
 
-def survival_prob(t_star, dist, compute_rate: float | None = None, *, tol: float = 1e-9):
+def survival_prob(t_star, dist, compute_rate: float | None = None):
     """Probability that one competitor fails to overtake a winner whose
     transmission latency is ``t_star``.
 
@@ -430,13 +420,13 @@ def survival_prob(t_star, dist, compute_rate: float | None = None, *, tol: float
             raise ValueError("compute_rate is required with a DiscreteLatency")
         return _discrete_survival(t_star, dist, compute_rate)
     rate = dist.compute_rate if compute_rate is None else compute_rate
-    return _evaluator(dist, float(rate), float(tol)).survival(t_star)
+    return _evaluator(dist, float(rate), 1e-9).survival(t_star)
 
 
 # --- no-forking probability ----------------------------------------------
 
 
-def _pn_attempt(dist, num_miners, rate, tol, eps_comp, inner_tol, max_depth):
+def _pn_attempt(dist, num_miners, rate, tol, eps_comp, inner_tol):
     ev = _evaluator(dist, rate, inner_tol)
     lo = dist.max_uplink * 1e-12
     hi = dist.max_uplink
@@ -452,22 +442,14 @@ def _pn_attempt(dist, num_miners, rate, tol, eps_comp, inner_tol, max_depth):
         return dist.uplink_pdf(u) * sums
 
     value, quad_err = integrate_adaptive(
-        integrand,
-        lo,
-        hi,
-        rel_tol=0.1 * tol,
-        abs_tol=eps_comp,
-        max_intervals=max_depth,
-        points=ev.kinks(n_max),
+        integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, points=ev.kinks(n_max)
     )
     tail = (1.0 - dist.success_prob) ** (n_max + 1) if ev.relocates else 0.0
     err_est = quad_err + tail + skipped + power * ev.error + float(dist.uplink_cdf(lo))
     return value, err_est
 
 
-def no_forking_probability(
-    config: SystemConfig, *, dist=None, spec: QuadratureSpec | None = None
-) -> tuple[float, float]:
+def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, float]:
     """Probability that a single PoW round commits without forking.
 
     Returns (value, absolute error estimate). The estimate satisfies
@@ -492,17 +474,15 @@ def no_forking_probability(
         q = _discrete_survival(atoms, dist, rate)
         return float(weights @ q ** (num - 1)), 0.0
 
-    tol = spec.rel_tol if spec is not None else config.quadrature_tol
-    depth = spec.max_depth if spec is not None else 256
-
+    tol = config.quadrature_tol
     inner = max(1e-13, 1e-3 * tol)
-    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol, inner, depth)
+    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol, inner)
     if err <= tol * value:
         return value, err
     # refine against the measured magnitude (matters when p_n is small)
     scale = max(value, 1e-300)
     inner2 = max(1e-14, 1e-3 * tol * scale)
-    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol * scale, inner2, depth)
+    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol * scale, inner2)
     if err <= tol * value:
         return value, err
     raise QuadratureError(
@@ -536,47 +516,26 @@ def expected_mobility_latency(config: SystemConfig) -> float:
     return d.move_time_s * math.expm1(exponent)
 
 
-def expected_uplink_latency(
-    config: SystemConfig, *, spec: QuadratureSpec | None = None
-) -> tuple[float, float]:
+def expected_uplink_latency(config: SystemConfig) -> tuple[float, float]:
     """Mean uplink latency, integrating the CCDF over its support.
 
     Returns (value, absolute error estimate); value lies in (0, max_uplink).
     """
     ensure_valid(config)
     dist = LatencyDistribution.from_config(config)
-    tol = spec.rel_tol if spec is not None else config.quadrature_tol
-    depth = spec.max_depth if spec is not None else 256
-    return integrate_adaptive(
-        dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=tol, max_intervals=depth
-    )
+    return integrate_adaptive(dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=config.quadrature_tol)
 
 
-def _latency_means(config: SystemConfig, dist) -> tuple[float, float]:
-    """(E[T_up], E[T_move]) under the latency law the race is judged with."""
-    if dist is None:
-        return expected_uplink_latency(config)[0], expected_mobility_latency(config)
-    if isinstance(dist, DiscreteLatency):
-        # the whole delay is booked as uplink time; it never relocates
-        return float(np.dot(dist.weights, dist.atoms)), 0.0
-    exp_up, _ = integrate_adaptive(
-        dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=config.quadrature_tol
-    )
-    return exp_up, dist.move_time * (1.0 - dist.success_prob) / dist.success_prob
-
-
-def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
+def evaluate(config: SystemConfig) -> AnalyticResult:
     """All analytic outputs for one configuration.
 
     The per-round winner energy is compute_power * E[min compute] +
     tx_power * E[uplink] + mobility_power * E[relocation]; rounds per block
     are geometric with mean 1/p_no_fork, so the block energy is their ratio.
-    A ``dist`` override sets p_no_fork and both latency means. Raises
-    :class:`QuadratureError` when p_no_fork is below 1e-9 (the block energy
-    would be unreliable).
+    Raises :class:`QuadratureError` when p_no_fork is below 1e-9 (the block
+    energy would be unreliable).
     """
-    ensure_valid(config)
-    p_nofork, p_err = no_forking_probability(config, dist=dist)
+    p_nofork, p_err = no_forking_probability(config)
     if p_nofork < 1e-9:
         raise QuadratureError(
             "no-forking probability below 1e-9; block energy unreliable",
@@ -584,7 +543,8 @@ def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
             error_estimate=p_err,
         )
     exp_min = expected_min_compute_latency(config)
-    exp_up, exp_mob = _latency_means(config, dist)
+    exp_up, _ = expected_uplink_latency(config)
+    exp_mob = expected_mobility_latency(config)
     round_energy = (
         config.miner.compute_power_w * exp_min
         + config.channel.tx_power_w * exp_up
@@ -595,6 +555,7 @@ def evaluate(config: SystemConfig, *, dist=None) -> AnalyticResult:
         exp_min_compute=exp_min,
         exp_mobility=exp_mob,
         exp_uplink=exp_up,
+        exp_round_energy=round_energy,
         avg_block_energy=round_energy / p_nofork,
         quadrature_error=p_err,
     )

@@ -238,8 +238,6 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    if args.trials < 100 or args.blocks < 100:
-        raise ConfigError(["--trials and --blocks must be >= 100"])
     summary = estimate(
         config, num_blocks=args.blocks, num_round_trials=args.trials, workers=args.workers
     )
@@ -272,8 +270,6 @@ def cmd_sweep(args) -> int:
         base_seed = args.seed if args.seed is not None else spec.base.rng_seed
         round_trials = args.trials if args.trials is not None else spec.round_trials
         block_trials = args.blocks if args.blocks is not None else spec.block_trials
-    if round_trials < 100 or block_trials < 100:
-        raise ConfigError(["--trials and --blocks must be >= 100"])
 
     lines = [SWEEP_COLUMNS]
     warnings: list[str] = []
@@ -329,11 +325,16 @@ def cmd_sweep(args) -> int:
 # --- entry point ------------------------------------------------------------
 
 
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo, and < hi when given."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value >= hi):
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi or 'inf'}), got {value}")
+        return value
+
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,6 +347,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="forkwork", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    trials, seed, workers = _int_in(100), _int_in(0, 2**64), _int_in(1)
 
     p_analytic = sub.add_parser("analytic", help="closed-form/quadrature metrics for one config")
     p_analytic.add_argument("config", help="path to a flat key=value config file")
@@ -354,10 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimates for one config")
     p_sim.add_argument("config", help="path to a flat key=value config file")
-    p_sim.add_argument("--trials", type=int, default=100_000, help="independent PoW rounds")
-    p_sim.add_argument("--blocks", type=int, default=2_000, help="independent block recoveries")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
+    p_sim.add_argument("--trials", type=trials, default=100_000, help="independent PoW rounds")
+    p_sim.add_argument("--blocks", type=trials, default=2_000, help="independent block recoveries")
+    p_sim.add_argument("--seed", type=seed, default=None, help="override the config rng_seed")
+    p_sim.add_argument("--workers", type=workers, default=1, help="worker processes")
     p_sim.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -365,10 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec", nargs="?", default=None, help="path to a sweep spec file")
     p_sweep.add_argument("--preset", choices=PRESETS, default=None, help="shipped sweep preset")
     p_sweep.add_argument("--out", default="-", help="CSV destination (default stdout)")
-    p_sweep.add_argument("--trials", type=int, default=None, help="rounds per sweep point")
-    p_sweep.add_argument("--blocks", type=int, default=None, help="blocks per sweep point")
-    p_sweep.add_argument("--seed", type=int, default=None, help="base seed for point substreams")
-    p_sweep.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
+    p_sweep.add_argument("--trials", type=trials, default=None, help="rounds per sweep point")
+    p_sweep.add_argument("--blocks", type=trials, default=None, help="blocks per sweep point")
+    p_sweep.add_argument("--seed", type=seed, default=None, help="base seed for point substreams")
+    p_sweep.add_argument("--workers", type=workers, default=1, help="worker processes")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

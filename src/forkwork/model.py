@@ -132,13 +132,9 @@ class AnalyticResult:
     exp_min_compute: float  # mean compute time of the round winner, s
     exp_mobility: float  # mean relocation latency, s
     exp_uplink: float  # mean uplink transmission latency, s
+    exp_round_energy: float  # mean winner energy of a single PoW round, J
     avg_block_energy: float  # mean winner energy to commit one block, J
     quadrature_error: float
-
-    @property
-    def exp_round_energy(self) -> float:
-        """Mean winner energy of a single PoW round, J."""
-        return self.avg_block_energy * self.no_fork_prob
 
 
 def wavelength_m(carrier_frequency_hz: float) -> float:

@@ -5,10 +5,10 @@ latency; the fastest computer is the rightful winner, the earliest ACK
 arrival decides who actually commits. A round forks when those two differ,
 and a forked block is recovered by racing again.
 
-Estimates are bit-reproducible: work is split into fixed-size chunks, each
-chunk draws from a substream derived from (seed, stream tag, chunk index),
-and partial sums are reduced in chunk order. The worker count therefore
-never changes any result, only wall-clock time.
+Estimates are bit-reproducible: work is split into chunks sized by the miner
+count alone, each chunk draws from a substream derived from (seed, stream
+tag, chunk index), and partial sums are reduced in chunk order. The worker
+count therefore never changes any result, only wall-clock time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
 
 ROUND_CHUNK = 4096
 BLOCK_CHUNK = 256
-BLOCK_BATCH = 512  # rounds drawn per batch on a block substream; fixed for reproducibility
+BLOCK_BATCH = 512  # rounds drawn per batch on a block substream
 _ROUND_STREAM = 0
 _BLOCK_STREAM = 1
 
@@ -107,6 +107,12 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
 # --- chunked estimation -----------------------------------------------------
 
 
+def _rows(limit: int, num_miners: int) -> int:
+    """Rounds per _race call: ``limit``, cut so that rounds x miners <= 2^20 and
+    memory does not grow with I. Depends on I alone, so results stay reproducible."""
+    return max(1, min(limit, (1 << 20) // num_miners))
+
+
 def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
     """Simulate ``count`` independent rounds; return commutative partial sums."""
     rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
@@ -124,22 +130,23 @@ def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds
     ``max_rounds`` rounds have all forked (a capped block, flagged, never
     silent); every round's winner energy counts, the committing one too.
     Rounds are i.i.d., so the chunk draws one round stream in batches of
-    BLOCK_BATCH from its substream and cuts it into blocks; the open block
-    carries over to the next batch. Rounds after the last block are unused.
+    _rows(BLOCK_BATCH) from its substream and cuts it into blocks; the open
+    block carries over to the next batch. Rounds after the last block are unused.
     """
     rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
-    index = np.arange(1, BLOCK_BATCH + 1)
+    batch = _rows(BLOCK_BATCH, config.num_miners)
+    index = np.arange(1, batch + 1)
     rounds, energy, capped = [], [], []
     open_rounds, open_energy, done = 0, 0.0, 0
     while done < count:
-        forked, win_energy = _race(rng, config, dist, BLOCK_BATCH)[:2]
+        forked, win_energy = _race(rng, config, dist, batch)[:2]
         # rounds since the last commit, the open block's included; a run of
         # forks is cut into capped blocks at every multiple of max_rounds
         commits = np.maximum.accumulate(np.where(forked, -open_rounds, index))
         since = index - np.concatenate(([-open_rounds], commits[:-1]))
         ends = np.flatnonzero(~forked | (since % max_rounds == 0))[: count - done]
         if ends.size == 0:
-            open_rounds += BLOCK_BATCH
+            open_rounds += batch
             open_energy += float(win_energy.sum())
             continue
         starts = np.concatenate(([0], ends[:-1] + 1))
@@ -150,7 +157,7 @@ def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds
         rounds.append(block_rounds)
         energy.append(block_energy)
         capped.append(forked[ends])
-        open_rounds = BLOCK_BATCH - 1 - int(ends[-1])
+        open_rounds = batch - 1 - int(ends[-1])
         open_energy = float(win_energy[ends[-1] + 1 :].sum())
         done += ends.size
     return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
@@ -227,7 +234,7 @@ def estimate(
     if dist is None:
         dist = LatencyDistribution.from_config(config)
 
-    sizes = _chunk_sizes(num_round_trials, ROUND_CHUNK)
+    sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
     parts = _run_tasks(
         _round_chunk,
         (repeat(config), repeat(dist), range(len(sizes)), sizes),

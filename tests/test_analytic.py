@@ -413,17 +413,18 @@ def test_expected_uplink_bounds_and_sampler():
 # --- energy bundle ------------------------------------------------------------
 
 
-def test_single_miner_energy_is_round_energy():
-    cfg = default_config(num_miners=1)
+@pytest.mark.parametrize("miners", [1, 8])
+def test_round_energy_is_stored_sum(miners):
+    cfg = default_config(num_miners=miners)
     res = evaluate(cfg)
-    assert res.no_fork_prob == 1.0
+    assert (res.no_fork_prob == 1.0) == (miners == 1)
     expected = (
         cfg.miner.compute_power_w * res.exp_min_compute
         + cfg.channel.tx_power_w * res.exp_uplink
         + cfg.miner.mobility_power_w * res.exp_mobility
     )
-    assert res.avg_block_energy == expected
     assert res.exp_round_energy == expected
+    assert res.avg_block_energy == res.exp_round_energy / res.no_fork_prob
 
 
 def test_energy_components_positive_and_bounded():
@@ -433,13 +434,6 @@ def test_energy_components_positive_and_bounded():
     assert res.exp_uplink > 0
     assert res.avg_block_energy >= default_config().miner.compute_power_w * res.exp_min_compute
     assert 0 < res.no_fork_prob <= 1
-
-
-def test_evaluate_takes_latency_means_from_override():
-    res = evaluate(default_config(num_miners=4), dist=DiscreteLatency.constant(0.01))
-    assert res.no_fork_prob == pytest.approx(1.0, abs=1e-15)
-    assert res.exp_uplink == 0.01
-    assert res.exp_mobility == 0.0
 
 
 def test_energy_reduction_matches_simulator():

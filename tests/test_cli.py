@@ -150,15 +150,36 @@ def test_simulate_trials_floor(tmp_path, capsys):
     assert cli.main(["simulate", path, "--trials", "50"]) == 1
 
 
+def _command_args(tmp_path, command):
+    if command == "simulate":
+        return ["simulate", _write_config(tmp_path), "--trials", "100", "--blocks", "100"]
+    return ["sweep", _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 1\n")]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
-    if command == "simulate":
-        args = ["simulate", _write_config(tmp_path), "--trials", "100", "--blocks", "100"]
-    else:
-        args = ["sweep", _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 1\n")]
-    assert cli.main(args + ["--workers", workers]) == 1
+    assert cli.main(_command_args(tmp_path, command) + ["--workers", workers]) == 1
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--trials", "99"),
+        ("--blocks", "99"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+        ("--seed", str(2**76)),
+        ("--seed", "x"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_integer_flag_out_of_range_is_config_error(tmp_path, capsys, command, flag, value):
+    assert cli.main(_command_args(tmp_path, command) + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: argument {flag}" in err
+    assert "Traceback" not in err
 
 
 # --- sweep -------------------------------------------------------------------

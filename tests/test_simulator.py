@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from forkwork.simulator import (
     ROUND_CHUNK,
     _blocks,
     _race,
+    _rows,
     estimate,
 )
 
@@ -119,7 +121,7 @@ def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
     start = rounds = position = 0
     energy = 0.0
     while len(blocks) < count:
-        forked, win_energy = _race(rng, cfg, dist, BLOCK_BATCH)[:2]
+        forked, win_energy = _race(rng, cfg, dist, _rows(BLOCK_BATCH, cfg.num_miners))[:2]
         for f, e in zip(forked, win_energy):
             rounds += 1
             energy += e
@@ -145,8 +147,8 @@ class _WideLatency:
 
 @pytest.mark.parametrize(
     "miners, dist, count, max_rounds",
-    [(4, TWO_ATOMS, 600, 2), (500, _WideLatency(), 8, 700)],
-    ids=["short-cap", "long-blocks"],
+    [(4, TWO_ATOMS, 600, 2), (500, _WideLatency(), 8, 700), (4096, TWO_ATOMS, 600, 2)],
+    ids=["short-cap", "long-blocks", "small-batch"],
 )
 def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
     cfg = default_config(num_miners=miners)
@@ -156,12 +158,25 @@ def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
     assert capped.tolist() == [b[3] for b in expected]
     np.testing.assert_allclose(energy, [b[2] for b in expected], rtol=1e-12)
     # the cases the split must get right are present
-    assert any(b[0] // BLOCK_BATCH != (b[0] + b[1] - 1) // BLOCK_BATCH for b in expected)
+    batch = _rows(BLOCK_BATCH, miners)
+    assert batch == (BLOCK_BATCH if miners <= 2048 else 256)
+    assert any(b[0] // batch != (b[0] + b[1] - 1) // batch for b in expected)
     # a run of forks longer than the cap: a capped block, then one that starts with a fork
     assert any(a[3] and (b[1] > 1 or b[3]) for a, b in zip(expected, expected[1:]))
     assert not all(b[3] for b in expected)
-    if max_rounds > BLOCK_BATCH:
-        assert any(b[1] > BLOCK_BATCH for b in expected)  # a batch with no block end
+    if max_rounds > batch:
+        assert any(b[1] > batch for b in expected)  # a batch with no block end
+
+
+def test_estimate_memory_bounded_in_miner_count():
+    cfg = default_config(num_miners=8000)
+    tracemalloc.start()
+    try:
+        estimate(cfg, num_blocks=100, num_round_trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_estimate_rejects_small_trials():
