@@ -24,9 +24,6 @@ from .channel import (
     DiscreteLatency,
     LatencyDistribution,
     derive_seed,
-    sample_compute_latency,
-    sample_num_movements,
-    sample_snr_conditional,
     substream,
     uplink_latency,
 )
@@ -89,9 +86,6 @@ __all__ = [
     "mean_snr",
     "no_forking_probability",
     "parse_config_text",
-    "sample_compute_latency",
-    "sample_num_movements",
-    "sample_snr_conditional",
     "substream",
     "survival_prob",
     "uplink_latency",

@@ -1,4 +1,4 @@
-"""Samplers and distribution machinery for the latency pipeline.
+"""Latency laws of the PoW race: their draws and distribution functions.
 
 Per PoW round and miner the latency pieces are:
 
@@ -13,9 +13,9 @@ Per PoW round and miner the latency pieces are:
   transmission   T     = move_time * N + T_up, or T_up alone under the
                          wireless-only variant
 
-All samplers take an explicit numpy Generator and are pure functions of its
-state, so a seed fully determines every sequence. Evaluators (pdf/cdf) are
-pure and safe to share across workers.
+A law's ``draw`` takes an explicit numpy Generator and is a pure function of
+its state, so a seed fully determines every sequence. Evaluators (pdf/cdf)
+are pure and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .model import ConfigError, LatencyModel, SystemConfig, derive
 __all__ = [
     "substream",
     "derive_seed",
-    "exponential_inverse",
-    "sample_compute_latency",
-    "sample_num_movements",
-    "sample_snr_conditional",
     "uplink_latency",
     "LatencyDistribution",
     "DiscreteLatency",
@@ -64,44 +60,6 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _uniform_open_closed(rng: np.random.Generator, size=None):
-    # rng.random() is [0, 1); flip to (0, 1] so -log never overflows
-    return 1.0 - rng.random(size)
-
-
-def exponential_inverse(u, rate: float):
-    """Inverse-CDF map for the exponential law: u in (0, 1] -> -ln(u)/rate."""
-    return -np.log(u) / rate
-
-
-def sample_compute_latency(rng: np.random.Generator, compute_rate: float, size=None):
-    """Exponential PoW completion time with the given rate, via inverse transform."""
-    if compute_rate <= 0.0:
-        raise ValueError("compute_rate must be positive")
-    return exponential_inverse(_uniform_open_closed(rng, size), compute_rate)
-
-
-def sample_num_movements(rng: np.random.Generator, success_prob: float, size=None):
-    """Failed locations before the first success; support {0, 1, 2, ...}."""
-    if not 0.0 < success_prob <= 1.0:
-        raise ValueError("success_prob must be in (0, 1]")
-    return rng.geometric(success_prob, size) - 1
-
-
-def sample_snr_conditional(
-    rng: np.random.Generator, snr_rate: float, snr_threshold: float, size=None
-):
-    """SNR at the first location that beat the threshold (shifted exponential).
-
-    Inverse-CDF draw: threshold - ln(u) / rate, with u uniform on (0, 1].
-    """
-    if snr_rate <= 0.0:
-        raise ValueError("snr_rate must be positive")
-    if snr_threshold < 0.0:
-        raise ValueError("snr_threshold must be non-negative")
-    return snr_threshold - np.log(_uniform_open_closed(rng, size)) / snr_rate
-
-
 def uplink_latency(snr, ack_bits: float, bandwidth_hz: float):
     """Time to push the ACK through the link: ack_bits / (B log2(1 + snr))."""
     return ack_bits / (bandwidth_hz * np.log2(1.0 + np.asarray(snr, dtype=float)))
@@ -130,9 +88,9 @@ class LatencyDistribution:
     """Transmission latency T of one miner: a geometric mixture over the
     relocation count of the shifted uplink-latency law.
 
-    Built via :meth:`from_config` or :meth:`from_params`; the derived fields
-    (max_uplink, success_prob, n_max) are kept consistent there. Instances
-    are immutable and hashable so analytic evaluators can cache against them.
+    Built via :meth:`from_config` from the scalars of :func:`derive`.
+    Instances are immutable and hashable so analytic evaluators can cache
+    against them.
     """
 
     snr_rate: float
@@ -150,43 +108,7 @@ class LatencyDistribution:
     @classmethod
     def from_config(cls, config: SystemConfig) -> "LatencyDistribution":
         d = derive(config.channel, config.miner)
-        return cls.from_params(
-            snr_rate=d.snr_rate,
-            snr_threshold=config.channel.snr_threshold,
-            ack_bits=config.miner.ack_bits,
-            bandwidth_hz=config.channel.bandwidth_hz,
-            move_time=d.move_time_s,
-            compute_rate=d.compute_rate,
-            variant=config.latency_model,
-            truncation=config.mixture_truncation,
-        )
-
-    @classmethod
-    def from_params(
-        cls,
-        *,
-        snr_rate: float,
-        snr_threshold: float,
-        ack_bits: float,
-        bandwidth_hz: float,
-        move_time: float,
-        compute_rate: float,
-        variant: LatencyModel = LatencyModel.TOTAL,
-        truncation: float = 1e-12,
-        success_prob: float | None = None,
-    ) -> "LatencyDistribution":
-        """Build with consistent derived fields.
-
-        ``success_prob`` normally follows from (snr_rate, snr_threshold);
-        passing 1.0 disables relocations while keeping the uplink law, which
-        is handy for analysis (the variants then coincide).
-        """
-        max_uplink = ack_bits / (bandwidth_hz * math.log2(1.0 + snr_threshold))
-        if not math.isfinite(max_uplink) or max_uplink <= 0.0:
-            raise ValueError("max uplink latency must be finite and positive")
-        if success_prob is None:
-            success_prob = math.exp(-snr_rate * snr_threshold)
-        if success_prob <= 0.0:
+        if d.success_prob <= 0.0:
             raise ConfigError(
                 [
                     "location success probability underflowed to zero; no location "
@@ -194,20 +116,20 @@ class LatencyDistribution:
                 ]
             )
         n_max = 0
-        if variant is LatencyModel.TOTAL:
-            n_max = _truncation_depth(success_prob, truncation)
+        if config.latency_model is LatencyModel.TOTAL:
+            n_max = _truncation_depth(d.success_prob, config.mixture_truncation)
         return cls(
-            snr_rate=snr_rate,
-            snr_threshold=snr_threshold,
-            ack_bits=ack_bits,
-            bandwidth_hz=bandwidth_hz,
-            move_time=move_time,
-            compute_rate=compute_rate,
-            variant=variant,
-            max_uplink=max_uplink,
-            success_prob=success_prob,
+            snr_rate=d.snr_rate,
+            snr_threshold=config.channel.snr_threshold,
+            ack_bits=config.miner.ack_bits,
+            bandwidth_hz=config.channel.bandwidth_hz,
+            move_time=d.move_time_s,
+            compute_rate=d.compute_rate,
+            variant=config.latency_model,
+            max_uplink=d.max_uplink_s,
+            success_prob=d.success_prob,
             n_max=n_max,
-            truncation=truncation,
+            truncation=config.mixture_truncation,
         )
 
     # -- uplink marginal ------------------------------------------------
@@ -269,49 +191,20 @@ class LatencyDistribution:
             out[inside] = np.where(np.isnan(vals), 0.0, vals)
         return out if out.shape else float(out)
 
-    # -- relocation mixture ----------------------------------------------
-
-    def mixture_weights(self) -> np.ndarray:
-        """Truncated geometric weights of the relocation count (sums to >= 1 - truncation)."""
-        if self.variant is LatencyModel.WIRELESS_ONLY or self.success_prob >= 1.0:
-            return np.array([1.0])
-        n = np.arange(self.n_max + 1)
-        return self.success_prob * (1.0 - self.success_prob) ** n
-
-    def total_cdf(self, t):
-        """P(T <= t) with absolute error at most the configured truncation."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.variant is LatencyModel.WIRELESS_ONLY or self.success_prob >= 1.0:
-            out = np.asarray(self.uplink_cdf(t))
-        else:
-            weights = self.mixture_weights()
-            out = np.zeros(t.shape)
-            for start in range(0, self.n_max + 1, 4096):
-                ns = np.arange(start, min(start + 4096, self.n_max + 1))
-                shifted = t[None, :] - ns[:, None] * self.move_time
-                out += weights[ns] @ self.uplink_cdf(shifted)
-        return out if out.shape != (1,) or np.ndim(t) else float(out[0])
-
     # -- sampling ---------------------------------------------------------
 
-    def sample_uplink(self, rng: np.random.Generator, size=None):
-        snr = sample_snr_conditional(rng, self.snr_rate, self.snr_threshold, size)
-        return uplink_latency(snr, self.ack_bits, self.bandwidth_hz)
+    def draw(self, rng: np.random.Generator, shape):
+        """(relocation count, uplink latency, transmission latency) per entry.
 
-    def sample_components(self, rng: np.random.Generator, size=None):
-        """Draw (relocation count, uplink latency); fixed draw order n, then SNR."""
-        n = sample_num_movements(rng, self.success_prob, size)
-        t_up = self.sample_uplink(rng, size)
-        return n, t_up
-
-    def total_from_components(self, n, t_up):
+        Draw order: every relocation count, then every SNR, the SNR by
+        inverse transform threshold - ln(u) / rate with u uniform on (0, 1].
+        """
+        moves = rng.geometric(self.success_prob, shape) - 1
+        snr = self.snr_threshold - np.log(1.0 - rng.random(shape)) / self.snr_rate
+        uplink = uplink_latency(snr, self.ack_bits, self.bandwidth_hz)
         if self.variant is LatencyModel.WIRELESS_ONLY:
-            return np.asarray(t_up, dtype=float)
-        return np.asarray(t_up, dtype=float) + np.asarray(n) * self.move_time
-
-    def sample_total(self, rng: np.random.Generator, size=None):
-        n, t_up = self.sample_components(rng, size)
-        return self.total_from_components(n, t_up)
+            return moves, uplink, uplink
+        return moves, uplink, uplink + moves * self.move_time
 
 
 @dataclass(frozen=True)
@@ -338,20 +231,6 @@ class DiscreteLatency:
     def constant(cls, value: float) -> "DiscreteLatency":
         return cls((float(value),), (1.0,))
 
-    def sample_components(self, rng: np.random.Generator, size=None):
-        t = rng.choice(np.asarray(self.atoms), p=np.asarray(self.weights), size=size)
-        return np.zeros_like(np.asarray(t), dtype=np.int64), t
-
-    def total_from_components(self, n, t_up):
-        return np.asarray(t_up, dtype=float)
-
-    def sample_total(self, rng: np.random.Generator, size=None):
-        _, t = self.sample_components(rng, size)
-        return self.total_from_components(None, t)
-
-    def total_cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        atoms = np.asarray(self.atoms)
-        weights = np.asarray(self.weights)
-        out = (atoms[:, None] <= np.atleast_1d(t)[None, :]).T @ weights
-        return out.reshape(t.shape) if t.shape else float(out[0])
+    def draw(self, rng: np.random.Generator, shape):
+        t = rng.choice(np.asarray(self.atoms), p=np.asarray(self.weights), size=shape)
+        return np.zeros(t.shape, dtype=np.int64), t, t

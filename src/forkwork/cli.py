@@ -263,8 +263,6 @@ def cmd_sweep(args) -> int:
         round_trials = args.trials if args.trials is not None else 100_000
         block_trials = args.blocks if args.blocks is not None else 2_000
     else:
-        if args.spec is None:
-            raise ConfigError(["sweep needs a spec file or --preset"])
         spec = parse_sweep_text(Path(args.spec).read_text())
         jobs = [(spec.param, v, _apply_param(spec.base, spec.param, v)) for v in spec.values]
         base_seed = args.seed if args.seed is not None else spec.base.rng_seed
@@ -364,8 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="analytic + simulated table over a parameter sweep")
-    p_sweep.add_argument("spec", nargs="?", default=None, help="path to a sweep spec file")
-    p_sweep.add_argument("--preset", choices=PRESETS, default=None, help="shipped sweep preset")
+    source = p_sweep.add_mutually_exclusive_group(required=True)
+    source.add_argument("spec", nargs="?", default=None, help="path to a sweep spec file")
+    source.add_argument("--preset", choices=PRESETS, default=None, help="shipped sweep preset")
     p_sweep.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p_sweep.add_argument("--trials", type=trials, default=None, help="rounds per sweep point")
     p_sweep.add_argument("--blocks", type=trials, default=None, help="blocks per sweep point")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -398,17 +398,19 @@ def config_text(config: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(config: SystemConfig) -> str:
-    """Short stable hash of every input that can change an output (CSV provenance).
+def _field_items(obj, prefix: str = ""):
+    """(dotted name, exact value) of every dataclass field, nested ones flattened."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _field_items(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value.value if isinstance(value, Enum) else value
 
-    Covers the config-file keys plus the analytic tolerances, which are not
-    file keys.
-    """
-    items = config_items(config) + [
-        ("quadrature_tol", config.quadrature_tol),
-        ("mixture_truncation", config.mixture_truncation),
-    ]
-    blob = ";".join(f"{k}={v!r}" for k, v in items)
+
+def config_digest(config: SystemConfig) -> str:
+    """Short stable hash of the exact value of every SystemConfig field (CSV provenance)."""
+    blob = ";".join(f"{k}={v!r}" for k, v in _field_items(config))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

@@ -14,6 +14,7 @@ count therefore never changes any result, only wall-clock time.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import LatencyDistribution, sample_compute_latency, substream
+from .channel import LatencyDistribution, substream
 from .model import SystemConfig, derive, ensure_valid
 
 __all__ = [
@@ -72,9 +73,10 @@ class SimulationSummary:
 def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
     """Race ``count`` independent rounds in one batch.
 
-    Draw order: every compute time, then every relocation count, then every
-    SNR, each as a (count, miners) array. The rightful winner is the fastest
-    computer; a round forks when the first ACK to arrive is someone else's.
+    Draw order: every compute time, then ``dist.draw`` (for the latency law
+    every relocation count, then every SNR), each as a (count, miners)
+    array. The rightful winner is the fastest computer; a round forks when
+    the first ACK to arrive is someone else's.
     Ties go to the lowest index. Returns per-round arrays: forked, winner
     energy, winner compute, move and uplink times, and the system energy.
     The system energy is an extension metric: the winner's energy plus each
@@ -83,15 +85,15 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
     """
     d = derive(config.channel, config.miner)
     shape = (count, config.num_miners)
-    compute = sample_compute_latency(rng, d.compute_rate, shape)
-    moves, uplink = dist.sample_components(rng, shape)
-    arrival = compute + dist.total_from_components(moves, uplink)
+    compute = -np.log(1.0 - rng.random(shape)) / d.compute_rate  # u on (0, 1]
+    moves, uplink, transmission = dist.draw(rng, shape)
+    arrival = compute + transmission
 
     fastest = np.argmin(compute, axis=1)
     rows = np.arange(count)
     s_win = compute[rows, fastest]
-    move_win = np.asarray(moves)[rows, fastest] * d.move_time_s
-    up_win = np.asarray(uplink)[rows, fastest]
+    move_win = moves[rows, fastest] * d.move_time_s
+    up_win = uplink[rows, fastest]
     energy = (
         config.miner.compute_power_w * s_win
         + config.miner.mobility_power_w * move_win
@@ -187,17 +189,26 @@ def _mean_se(n: int, total: float, total_sq: float) -> Estimate:
     return Estimate(mean, math.sqrt(var / n))
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), one per process
 
 
 def _run_tasks(fn, arg_lists, workers: int):
     """``fn`` over the zipped argument lists, results in task order.
 
-    More than one worker uses the process's one pool, started on first use
-    and replaced only when a different worker count is asked for.
+    More than one worker uses the process's one pool, sized at most the
+    CPUs this process may run on, started on first use and replaced only
+    when a different size is asked for.
     """
     global _pool
     tasks = list(zip(*arg_lists))
+    workers = min(workers, _cpu_count())
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*args) for args in tasks]
     if _pool is None or _pool[0] != workers:

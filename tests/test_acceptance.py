@@ -24,12 +24,10 @@ from forkwork.analytic import (
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
-    sample_compute_latency,
-    sample_num_movements,
     substream,
 )
 from forkwork.model import config_text, default_config, derive
-from forkwork.simulator import estimate
+from forkwork.simulator import _race, estimate
 
 
 def _report(criterion, ok, detail):
@@ -95,10 +93,13 @@ def test_criterion_3_order_statistics():
     chunk = 20_000
     details = []
     for index, miners in enumerate((1, 5, 20)):
+        cfg = default_config(num_miners=miners)
+        dist = LatencyDistribution.from_config(cfg)
         total = 0.0
         rng = substream(9000, index)
         for _ in range(trials // chunk):
-            total += sample_compute_latency(rng, rate, (chunk, miners)).min(axis=1).sum()
+            # the rightful winner is the fastest computer: its time is the minimum
+            total += _race(rng, cfg, dist, chunk)[2].sum()
         mean = total / trials
         expected = 1.0 / (rate * miners)
         details.append(f"I={miners}: {mean:.6f} vs {expected:.6f}")
@@ -110,7 +111,7 @@ def test_criterion_4_mobility_expectation():
     cfg = default_config()  # threshold at mean SNR: mean relocations e - 1
     d = derive(cfg.channel, cfg.miner)
     rng = substream(9001, 0)
-    moves = sample_num_movements(rng, d.success_prob, 1_000_000)
+    moves = LatencyDistribution.from_config(cfg).draw(rng, 1_000_000)[0]
     empirical = d.move_time_s * moves.mean()
     expected = expected_mobility_latency(cfg)
     ok = abs(empirical - expected) <= 0.02 * expected
@@ -127,7 +128,7 @@ def test_criterion_5_uplink_expectation():
     dist = LatencyDistribution.from_config(cfg)
     value, _ = expected_uplink_latency(cfg)
     rng = substream(9002, 0)
-    sampled = dist.sample_uplink(rng, 1_000_000).mean()
+    sampled = dist.draw(rng, 1_000_000)[1].mean()
     norm, _ = integrate_adaptive(
         dist.uplink_pdf, dist.max_uplink * 1e-12, dist.max_uplink, rel_tol=1e-9
     )

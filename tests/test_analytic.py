@@ -121,7 +121,7 @@ def test_survival_matches_direct_expectation():
     # q(t*) = E[exp(-rate max(0, t* - T))] against a Monte Carlo average
     d = _dist()
     rng = substream(77, 0)
-    t = d.sample_total(rng, 400_000)
+    t = d.draw(rng, 400_000)[2]
     for t_star in (0.2, 0.25, 0.3):
         mc = np.mean(np.exp(-d.compute_rate * np.maximum(0.0, t_star - t)))
         se = np.std(np.exp(-d.compute_rate * np.maximum(0.0, t_star - t))) / math.sqrt(len(t))
@@ -333,18 +333,8 @@ def test_no_fork_property_in_unit_interval_and_falls_with_miners(
 
 
 def test_variants_coincide_without_relocation():
-    base = _dist()
-    kwargs = dict(
-        snr_rate=base.snr_rate,
-        snr_threshold=base.snr_threshold,
-        ack_bits=base.ack_bits,
-        bandwidth_hz=base.bandwidth_hz,
-        move_time=base.move_time,
-        compute_rate=base.compute_rate,
-        success_prob=1.0,
-    )
-    total = LatencyDistribution.from_params(variant=LatencyModel.TOTAL, **kwargs)
-    wireless = LatencyDistribution.from_params(variant=LatencyModel.WIRELESS_ONLY, **kwargs)
+    total = replace(_dist(), success_prob=1.0, n_max=0)
+    wireless = replace(total, variant=LatencyModel.WIRELESS_ONLY)
     cfg = default_config(num_miners=12)
     p_total, _ = no_forking_probability(cfg, dist=total)
     p_wireless, _ = no_forking_probability(cfg, dist=wireless)
@@ -391,12 +381,10 @@ def test_expected_mobility_overflow_reports_infinity():
 
 
 def test_expected_mobility_matches_sampler():
-    from forkwork.channel import sample_num_movements
-
     cfg = default_config()
     d = derive(cfg.channel, cfg.miner)
     rng = substream(31, 0)
-    n = sample_num_movements(rng, d.success_prob, 1_000_000)
+    n = _dist(cfg).draw(rng, 1_000_000)[0]
     assert d.move_time_s * n.mean() == pytest.approx(expected_mobility_latency(cfg), rel=0.02)
 
 
@@ -406,7 +394,7 @@ def test_expected_uplink_bounds_and_sampler():
     value, err = expected_uplink_latency(cfg)
     assert 0.0 < value < d.max_uplink
     rng = substream(31, 1)
-    s = d.sample_uplink(rng, 1_000_000)
+    s = d.draw(rng, 1_000_000)[1]
     assert value == pytest.approx(s.mean(), rel=0.01)
 
 

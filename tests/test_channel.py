@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,50 +10,57 @@ from scipy import stats
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
-    exponential_inverse,
-    sample_compute_latency,
-    sample_num_movements,
-    sample_snr_conditional,
     substream,
     uplink_latency,
 )
 from forkwork.model import ConfigError, LatencyModel, default_config, derive
+from forkwork.simulator import _race
 
 RATE = 0.32  # default compute rate
 
 
 def _dist(**overrides) -> LatencyDistribution:
-    cfg = default_config()
-    base = LatencyDistribution.from_config(cfg)
-    if overrides:
-        from dataclasses import asdict
+    """The default law, with fields overridden for draws at chosen parameters."""
+    return replace(LatencyDistribution.from_config(default_config()), **overrides)
 
-        fields = asdict(base)
-        fields.update(overrides)
-        return LatencyDistribution.from_params(
-            snr_rate=fields["snr_rate"],
-            snr_threshold=fields["snr_threshold"],
-            ack_bits=fields["ack_bits"],
-            bandwidth_hz=fields["bandwidth_hz"],
-            move_time=fields["move_time"],
-            compute_rate=fields["compute_rate"],
-            variant=fields["variant"],
-            truncation=fields["truncation"],
-            success_prob=overrides.get("success_prob"),
-        )
-    return base
+
+def _compute_times(rng, count):
+    """Compute times of ``count`` single-miner rounds: at I = 1 the winner's is the draw."""
+    cfg = default_config(num_miners=1)
+    return _race(rng, cfg, LatencyDistribution.from_config(cfg), count)[2]
+
+
+def _snr(d, uplink):
+    """SNR behind an uplink latency: the inverse of uplink_latency."""
+    return np.exp2(d.ack_bits / (d.bandwidth_hz * uplink)) - 1.0
+
+
+def mixture_weights(d) -> np.ndarray:
+    """Truncated geometric weights of the relocation count (sums to >= 1 - truncation)."""
+    if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
+        return np.array([1.0])
+    return d.success_prob * (1.0 - d.success_prob) ** np.arange(d.n_max + 1)
+
+
+def total_cdf(d, t):
+    """P(T <= t): the mixture of shifted uplink CDFs, or the atoms' step function."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(d, DiscreteLatency):
+        steps = np.asarray(d.atoms)[:, None] <= np.atleast_1d(t)[None, :]
+        out = steps.T @ np.asarray(d.weights)
+    else:
+        weights = mixture_weights(d)
+        shifts = np.arange(weights.size)[:, None] * d.move_time
+        out = weights @ d.uplink_cdf(np.atleast_1d(t)[None, :] - shifts)
+    return out.reshape(t.shape) if t.shape else float(out[0])
 
 
 # --- inverse transforms -----------------------------------------------------
 
 
-def test_exponential_inverse_boundary():
-    assert exponential_inverse(1.0, RATE) == 0.0
-
-
 def test_compute_latency_mean():
     rng = substream(2024, 0)
-    s = sample_compute_latency(rng, RATE, 1_000_000)
+    s = _compute_times(rng, 1_000_000)
     assert s.min() >= 0.0
     assert s.mean() == pytest.approx(1.0 / RATE, rel=0.01)
 
@@ -60,39 +68,39 @@ def test_compute_latency_mean():
 def test_compute_latency_tail():
     # P(S > 1/rate) = 1/e for the exponential law
     rng = substream(2024, 1)
-    s = sample_compute_latency(rng, RATE, 1_000_000)
+    s = _compute_times(rng, 1_000_000)
     assert np.mean(s > 3.125) == pytest.approx(math.exp(-1.0), abs=0.002)
 
 
 def test_compute_latency_ks():
     rng = substream(2024, 2)
-    s = sample_compute_latency(rng, RATE, 100_000)
+    s = _compute_times(rng, 100_000)
     res = stats.kstest(s, "expon", args=(0.0, 1.0 / RATE))
     assert res.pvalue > 0.01
 
 
 def test_movements_certain_success():
     rng = substream(2024, 3)
-    assert np.all(sample_num_movements(rng, 1.0, 1000) == 0)
+    assert np.all(_dist(success_prob=1.0).draw(rng, 1000)[0] == 0)
 
 
 def test_movements_mean():
     rng = substream(2024, 4)
     p = math.exp(-1.0)
-    n = sample_num_movements(rng, p, 1_000_000)
+    n = _dist(success_prob=p).draw(rng, 1_000_000)[0]
     assert n.mean() == pytest.approx(math.e - 1.0, rel=0.01)
 
 
 def test_movements_pmf_point():
     rng = substream(2024, 5)
-    n = sample_num_movements(rng, 0.5, 1_000_000)
+    n = _dist(success_prob=0.5).draw(rng, 1_000_000)[0]
     assert np.mean(n == 2) == pytest.approx(0.125, abs=0.003)
 
 
 def test_movements_chi_square():
     rng = substream(2024, 6)
     p = 0.4
-    n = sample_num_movements(rng, p, 100_000)
+    n = _dist(success_prob=p).draw(rng, 100_000)[0]
     k = 12
     observed = np.array([np.sum(n == i) for i in range(k)] + [np.sum(n >= k)])
     pmf = p * (1 - p) ** np.arange(k)
@@ -106,7 +114,7 @@ def test_single_location_success_fraction_matches_derived():
     d = derive(cfg.channel, cfg.miner)
     rng = substream(2024, 7)
     trials = 100_000
-    n = sample_num_movements(rng, d.success_prob, trials)
+    n = LatencyDistribution.from_config(cfg).draw(rng, trials)[0]
     frac = np.mean(n == 0)
     se = math.sqrt(d.success_prob * (1 - d.success_prob) / trials)
     assert abs(frac - d.success_prob) <= 3 * se
@@ -115,7 +123,8 @@ def test_single_location_success_fraction_matches_derived():
 def test_snr_conditional_support_and_mean():
     rng = substream(2024, 8)
     k0, g0 = 2.0e-7, 5.0e6
-    snr = sample_snr_conditional(rng, k0, g0, 200_000)
+    d = _dist(snr_rate=k0, snr_threshold=g0)
+    snr = _snr(d, d.draw(rng, 200_000)[1])
     assert np.all(snr > g0)
     assert snr.mean() == pytest.approx(g0 + 1.0 / k0, rel=0.01)
 
@@ -124,7 +133,8 @@ def test_snr_unconditional_matches_raw_law():
     # with threshold 0 the draw is the raw fading SNR
     rng = substream(2024, 9)
     k0 = 2.0e-7
-    snr = sample_snr_conditional(rng, k0, 0.0, 100_000)
+    d = _dist(snr_rate=k0, snr_threshold=0.0)
+    snr = _snr(d, d.draw(rng, 100_000)[1])
     res = stats.kstest(snr, "expon", args=(0.0, 1.0 / k0))
     assert res.pvalue > 0.01
 
@@ -195,7 +205,7 @@ def test_uplink_pdf_normalizes():
 def test_uplink_sampler_matches_cdf():
     d = _dist()
     rng = substream(2024, 10)
-    s = d.sample_uplink(rng, 100_000)
+    s = d.draw(rng, 100_000)[1]
     assert np.all((s > 0) & (s <= d.max_uplink))
     res = stats.kstest(s, lambda z: np.asarray(d.uplink_cdf(z)))
     assert res.pvalue > 0.01
@@ -208,50 +218,50 @@ def test_mixture_tail_mass_bound():
     d = _dist()
     p = d.success_prob
     assert (1 - p) ** (d.n_max + 1) <= d.truncation
-    assert d.mixture_weights().sum() >= 1 - d.truncation
+    assert mixture_weights(d).sum() >= 1 - d.truncation
 
 
 def test_mixture_depth_cap():
-    with pytest.raises(ConfigError):
-        _dist(success_prob=1e-9)
+    # the threshold at 21x the mean SNR: success probability e^-21, ~3.6e10 components
+    with pytest.raises(ConfigError, match="relocation mixture needs"):
+        LatencyDistribution.from_config(default_config(snr_fraction=21.0))
 
 
 def test_total_cdf_reduces_to_uplink_when_no_moves():
-    d = _dist(success_prob=1.0)
+    d = _dist(success_prob=1.0, n_max=0)
     grid = np.linspace(0.0, d.max_uplink, 64)
-    assert np.allclose(d.total_cdf(grid), d.uplink_cdf(grid), atol=1e-15)
+    assert np.allclose(total_cdf(d, grid), d.uplink_cdf(grid), atol=1e-15)
 
 
 def test_total_cdf_support():
     d = _dist()
-    assert d.total_cdf(-0.5) == 0.0
-    assert d.total_cdf(0.0) == 0.0
+    assert total_cdf(d, -0.5) == 0.0
+    assert total_cdf(d, 0.0) == 0.0
     top = d.n_max * d.move_time + d.max_uplink
-    assert d.total_cdf(top) >= 1 - d.truncation
+    assert total_cdf(d, top) >= 1 - d.truncation
 
 
 def test_total_cdf_monotone():
     d = _dist()
     grid = np.linspace(0.0, d.n_max * d.move_time + d.max_uplink, 400)
-    vals = d.total_cdf(grid)
+    vals = total_cdf(d, grid)
     assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_total_cdf_against_sampler():
     d = _dist()
     rng = substream(2024, 11)
-    samples = np.sort(d.sample_total(rng, 1_000_000))
+    samples = np.sort(d.draw(rng, 1_000_000)[2])
     grid = np.linspace(0.0, samples[-1] * 1.02, 200)
     empirical = np.searchsorted(samples, grid, side="right") / len(samples)
-    sup = np.max(np.abs(empirical - d.total_cdf(grid)))
+    sup = np.max(np.abs(empirical - total_cdf(d, grid)))
     assert sup < 0.005
 
 
 def test_sampled_total_stays_in_support():
     d = _dist()
     rng = substream(2024, 12)
-    n, t_up = d.sample_components(rng, 50_000)
-    t = d.total_from_components(n, t_up)
+    n, t_up, t = d.draw(rng, 50_000)
     assert np.all((t_up > 0) & (t_up <= d.max_uplink))
     assert np.all(t <= n * d.move_time + d.max_uplink)
     assert np.all(t >= t_up)
@@ -261,8 +271,7 @@ def test_wireless_only_variant_drops_moves_from_total():
     cfg = default_config(latency_model=LatencyModel.WIRELESS_ONLY)
     d = LatencyDistribution.from_config(cfg)
     rng = substream(2024, 13)
-    n, t_up = d.sample_components(rng, 1000)
-    t = d.total_from_components(n, t_up)
+    n, t_up, t = d.draw(rng, 1000)
     assert np.array_equal(t, t_up)
     assert n.max() > 0  # relocations still sampled (they cost energy)
 
@@ -280,9 +289,9 @@ def test_substreams_are_reproducible():
 
 def test_sampler_sequences_reproducible():
     d = _dist()
-    s1 = d.sample_total(substream(5, 1), 1000)
-    s2 = d.sample_total(substream(5, 1), 1000)
-    assert np.array_equal(s1, s2)
+    s1 = d.draw(substream(5, 1), 1000)
+    s2 = d.draw(substream(5, 1), 1000)
+    assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
 
 # --- discrete hook ----------------------------------------------------------
@@ -291,17 +300,17 @@ def test_sampler_sequences_reproducible():
 def test_discrete_latency_constant():
     d = DiscreteLatency.constant(0.25)
     rng = substream(2024, 14)
-    n, t = d.sample_components(rng, 100)
-    assert np.all(t == 0.25)
+    n, t_up, t = d.draw(rng, 100)
+    assert np.all(t_up == 0.25) and np.all(t == 0.25)
     assert np.all(n == 0)
 
 
 def test_discrete_latency_cdf():
     d = DiscreteLatency(atoms=(0.1, 0.4), weights=(0.25, 0.75))
-    assert d.total_cdf(0.05) == 0.0
-    assert d.total_cdf(0.1) == pytest.approx(0.25)
-    assert d.total_cdf(0.39) == pytest.approx(0.25)
-    assert d.total_cdf(0.4) == pytest.approx(1.0)
+    assert total_cdf(d, 0.05) == 0.0
+    assert total_cdf(d, 0.1) == pytest.approx(0.25)
+    assert total_cdf(d, 0.39) == pytest.approx(0.25)
+    assert total_cdf(d, 0.4) == pytest.approx(1.0)
 
 
 def test_discrete_latency_validation():

@@ -106,6 +106,20 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["not-a-command"]) == 1
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize(
+    "snr_fraction, message",
+    [(21.0, "relocation mixture needs"), (800.0, "underflowed to zero")],
+    ids=["depth-cap", "success-underflow"],
+)
+def test_law_construction_error_exit_code(tmp_path, capsys, command, snr_fraction, message):
+    path = _write_config(tmp_path, default_config(snr_fraction=snr_fraction))
+    assert cli.main([command, path, "--out", str(tmp_path / "row.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "row.csv").exists()
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -260,6 +274,12 @@ def test_sweep_requires_spec_or_preset(capsys):
     assert cli.main(["sweep"]) == 1
 
 
+def test_sweep_rejects_spec_with_preset(tmp_path, capsys):
+    spec = _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 2\n")
+    assert cli.main(["sweep", spec, "--preset", "fig2"]) == 1
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_spec(tmp_path):
     spec = _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 5, 2\n")
     assert cli.main(["sweep", spec]) == 1
@@ -304,6 +324,7 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(simulator, "_pool", None)
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     # two round chunks and two block chunks per point, three points
     spec = _sweep_file(
         tmp_path,

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given
@@ -205,6 +205,37 @@ def test_config_digest_covers_tolerances():
         config_digest(replace(base, mixture_truncation=1e-15)),
     }
     assert len(digests) == 3
+
+
+def _bumped(obj, name):
+    """``obj`` with the one field ``name`` (dotted when nested) moved to its next value."""
+    if "." in name:
+        outer, inner = name.split(".", 1)
+        return replace(obj, **{outer: _bumped(getattr(obj, outer), inner)})
+    value = getattr(obj, name)
+    if isinstance(value, LatencyModel):
+        new = next(m for m in LatencyModel if m is not value)
+    elif isinstance(value, int):
+        new = value + 1
+    else:
+        new = math.nextafter(value, math.inf)  # one ulp
+    return replace(obj, **{name: new})
+
+
+def test_config_digest_covers_every_field_exactly():
+    base = default_config()
+    names = []
+    for f in fields(base):
+        value = getattr(base, f.name)
+        names += [f"{f.name}.{g.name}" for g in fields(value)] if is_dataclass(value) else [f.name]
+    assert len(names) == 16
+    digests = {config_digest(_bumped(base, name)) for name in names}
+    assert len(digests) == len(names) and config_digest(base) not in digests
+    # a file round trip moves the linear threshold by a few ulps: a different config
+    a = default_config(num_miners=2)
+    b = parse_config_text(config_text(a))
+    assert a.channel.snr_threshold != b.channel.snr_threshold
+    assert config_digest(a) != config_digest(b)
 
 
 def test_channel_params_frozen():

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forkwork.analytic import no_forking_probability
-from forkwork.channel import (
-    DiscreteLatency,
-    LatencyDistribution,
-    sample_compute_latency,
-    substream,
-)
+from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config, derive
 from forkwork.simulator import (
     BLOCK_BATCH,
@@ -32,9 +27,8 @@ def _draws(rng, cfg, dist, count):
     """Per-miner draws of ``count`` rounds, in the race kernel's draw order."""
     d = derive(cfg.channel, cfg.miner)
     shape = (count, cfg.num_miners)
-    compute = sample_compute_latency(rng, d.compute_rate, shape)
-    moves, uplink = dist.sample_components(rng, shape)
-    total = dist.total_from_components(moves, uplink)
+    compute = -np.log(1.0 - rng.random(shape)) / d.compute_rate
+    moves, uplink, total = dist.draw(rng, shape)
     return compute, moves, uplink, total, compute + total
 
 
@@ -137,12 +131,9 @@ def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
 class _WideLatency:
     """Latencies spread far wider than compute times: nearly every round forks."""
 
-    def sample_components(self, rng, size=None):
-        t = rng.uniform(0.0, 1e6, size)
-        return np.zeros(np.shape(t), dtype=np.int64), t
-
-    def total_from_components(self, n, t_up):
-        return t_up
+    def draw(self, rng, shape):
+        t = rng.uniform(0.0, 1e6, shape)
+        return np.zeros(t.shape, dtype=np.int64), t, t
 
 
 @pytest.mark.parametrize(
@@ -208,6 +199,7 @@ def test_dead_worker_pool_is_replaced(monkeypatch):
     from forkwork import simulator
 
     monkeypatch.setattr(simulator, "_pool", None)
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     cfg = default_config(num_miners=5)
     sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK, workers=2)
     try:
@@ -220,6 +212,36 @@ def test_dead_worker_pool_is_replaced(monkeypatch):
     finally:
         if simulator._pool is not None:
             simulator._pool[1].shutdown()
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch):
+    from forkwork import simulator
+
+    started = []
+
+    class SerialPool:
+        """Records the pool size it was asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simulator, "_pool", None)
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 3)
+    cfg = default_config(num_miners=5)
+    sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)
+    serial = estimate(cfg, **sizes)
+    assert estimate(cfg, workers=10**6, **sizes) == serial
+    assert estimate(cfg, workers=2, **sizes) == serial
+    assert started == [3, 2]
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 1)
+    assert estimate(cfg, workers=8, **sizes) == serial
+    assert started == [3, 2]  # one CPU: no pool at all
 
 
 def test_estimate_seed_changes_results():
