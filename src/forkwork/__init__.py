@@ -41,11 +41,9 @@ from .model import (
     default_config,
     default_miner,
     derive,
-    ensure_valid,
     load_config,
     mean_snr,
     parse_config_text,
-    validate,
 )
 from .simulator import (
     Estimate,
@@ -75,7 +73,6 @@ __all__ = [
     "default_miner",
     "derive",
     "derive_seed",
-    "ensure_valid",
     "estimate",
     "evaluate",
     "expected_min_compute_latency",
@@ -89,5 +86,4 @@ __all__ = [
     "substream",
     "survival_prob",
     "uplink_latency",
-    "validate",
 ]

@@ -47,7 +47,6 @@ from .model import (
     LatencyModel,
     SystemConfig,
     derive,
-    ensure_valid,
 )
 
 __all__ = [
@@ -458,7 +457,6 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
     numbers. A ``dist`` override substitutes the transmission-latency law
     (e.g. a :class:`DiscreteLatency`, evaluated in closed form).
     """
-    ensure_valid(config)
     num = config.num_miners
     if num == 1:
         return 1.0, 0.0
@@ -497,7 +495,6 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
 
 def expected_min_compute_latency(config: SystemConfig) -> float:
     """Mean compute time of the fastest of I miners: 1 / (compute_rate * I)."""
-    ensure_valid(config)
     d = derive(config.channel, config.miner)
     return 1.0 / (d.compute_rate * config.num_miners)
 
@@ -508,7 +505,6 @@ def expected_mobility_latency(config: SystemConfig) -> float:
     Reports infinity explicitly once the exponent passes 700 (the relocation
     count is astronomically large for such thresholds).
     """
-    ensure_valid(config)
     d = derive(config.channel, config.miner)
     exponent = d.snr_rate * config.channel.snr_threshold
     if exponent > 700.0:
@@ -521,7 +517,6 @@ def expected_uplink_latency(config: SystemConfig) -> tuple[float, float]:
 
     Returns (value, absolute error estimate); value lies in (0, max_uplink).
     """
-    ensure_valid(config)
     dist = LatencyDistribution.from_config(config)
     return integrate_adaptive(dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=config.quadrature_tol)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .analytic import QuadratureError, evaluate
@@ -23,15 +23,18 @@ from .model import (
     ConfigError,
     SystemConfig,
     config_digest,
+    config_from_values,
+    config_values,
     default_channel,
     default_config,
     load_config,
     mean_snr,
     parse_flat_text,
+    parse_value,
 )
 from .simulator import SimulationSummary, estimate
 
-__all__ = ["main", "SweepSpec", "parse_sweep_text", "preset_jobs", "PRESETS"]
+__all__ = ["main", "parse_sweep_text", "preset_jobs", "PRESETS"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,76 +87,37 @@ def _note(message: str) -> None:
 # --- sweep specification ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a fixed base config."""
-
-    param: str
-    values: tuple
-    base: SystemConfig
-    round_trials: int = 100_000
-    block_trials: int = 2_000
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.param not in SWEEP_PARAMS:
-            errors.append(f"sweep_param must be one of {', '.join(SWEEP_PARAMS)}")
-        if len(self.values) == 0:
-            errors.append("sweep_values must be non-empty")
-        elif any(b <= a for a, b in zip(self.values, self.values[1:])):
-            errors.append("sweep_values must be strictly increasing")
-        if self.round_trials < 100 or self.block_trials < 100:
-            errors.append("trials must be >= 100")
-        return errors
-
-
-def _apply_param(base: SystemConfig, param: str, value) -> SystemConfig:
-    if param == "num_miners":
-        return replace(base, num_miners=int(value))
-    if param == "tx_power_w":
-        return replace(base, channel=replace(base.channel, tx_power_w=float(value)))
-    if param == "snr_threshold_db":
-        linear = 10.0 ** (float(value) / 10.0)
-        return replace(base, channel=replace(base.channel, snr_threshold=linear))
-    raise ConfigError([f"unknown sweep parameter: {param}"])
-
-
-def parse_sweep_text(text: str) -> SweepSpec:
+def parse_sweep_text(text: str) -> tuple[list[tuple[str, object, SystemConfig]], int, int]:
     """Parse a sweep file: the full config key set plus sweep_param,
-    sweep_values (comma separated), round_trials, block_trials."""
-    from .model import parse_config_text
+    sweep_values (comma separated), round_trials, block_trials.
 
+    Builds, and so checks, the config of every point. Returns the jobs
+    ``(param, value, config)`` in sweep order with the round and block trial
+    counts. Raises ConfigError on any problem.
+    """
     seen = parse_flat_text(text, CONFIG_KEYS + _SWEEP_ONLY_KEYS)
     errors = [f"missing key: {k}" for k in ("sweep_param", "sweep_values") if k not in seen]
     if errors:
         raise ConfigError(errors)
+    param = seen["sweep_param"]
+    if param not in SWEEP_PARAMS:
+        raise ConfigError([f"sweep_param must be one of {', '.join(SWEEP_PARAMS)}"])
 
-    config_lines = "\n".join(f"{k} = {v}" for k, v in seen.items() if k in CONFIG_KEYS)
-    base = parse_config_text(config_lines)
-
-    param = seen["sweep_param"].strip()
-    value_type = int if param == "num_miners" else float
-    try:
-        values = tuple(value_type(v.strip()) for v in seen["sweep_values"].split(","))
-    except ValueError:
-        raise ConfigError(["sweep_values must be a comma-separated list of numbers"])
+    values = config_values(seen)
+    points = [parse_value(param, v.strip()) for v in seen["sweep_values"].split(",")]
     try:
         round_trials = int(seen.get("round_trials", "100000"))
         block_trials = int(seen.get("block_trials", "2000"))
     except ValueError:
-        raise ConfigError(["round_trials and block_trials must be integers"])
-
-    spec = SweepSpec(
-        param=param,
-        values=values,
-        base=base,
-        round_trials=round_trials,
-        block_trials=block_trials,
-    )
-    errors = spec.validate()
+        raise ConfigError(["round_trials and block_trials must be integers"]) from None
+    if any(b <= a for a, b in zip(points, points[1:])):
+        errors.append("sweep_values must be strictly increasing")
+    if round_trials < 100 or block_trials < 100:
+        errors.append("trials must be >= 100")
     if errors:
         raise ConfigError(errors)
-    return spec
+    jobs = [(param, p, config_from_values({**values, param: p})) for p in points]
+    return jobs, round_trials, block_trials
 
 
 def preset_jobs(name: str) -> list[tuple[str, object, SystemConfig]]:
@@ -258,20 +222,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset is not None:
-        jobs = preset_jobs(args.preset)
-        base_seed = args.seed if args.seed is not None else default_config().rng_seed
-        round_trials = args.trials if args.trials is not None else 100_000
-        block_trials = args.blocks if args.blocks is not None else 2_000
+        jobs, round_trials, block_trials = preset_jobs(args.preset), 100_000, 2_000
     else:
-        spec = parse_sweep_text(Path(args.spec).read_text())
-        jobs = [(spec.param, v, _apply_param(spec.base, spec.param, v)) for v in spec.values]
-        base_seed = args.seed if args.seed is not None else spec.base.rng_seed
-        round_trials = args.trials if args.trials is not None else spec.round_trials
-        block_trials = args.blocks if args.blocks is not None else spec.block_trials
+        jobs, round_trials, block_trials = parse_sweep_text(Path(args.spec).read_text())
+    round_trials = args.trials if args.trials is not None else round_trials
+    block_trials = args.blocks if args.blocks is not None else block_trials
 
     lines = [SWEEP_COLUMNS]
     warnings: list[str] = []
     for index, (label, value, cfg) in enumerate(jobs):
+        # without --seed, a point's seed derives from its config's: the spec's or the default's
+        base_seed = args.seed if args.seed is not None else cfg.rng_seed
         point_seed = derive_seed(base_seed, _POINT_STREAM, index)
         cfg = replace(cfg, rng_seed=point_seed)
         cells: dict[str, object] = {name: None for name in SWEEP_COLUMNS.split(",")}
@@ -309,14 +270,16 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(_fmt(cells[name]) for name in SWEEP_COLUMNS.split(",")))
 
     _emit_csv(lines, args.out)
-    if warnings:
-        if args.out in (None, "-"):
-            for w in warnings:
-                _note(f"warning: {w}")
-        else:
-            sidecar = Path(str(args.out) + ".warnings")
+    if args.out in (None, "-"):
+        for w in warnings:
+            _note(f"warning: {w}")
+    else:
+        sidecar = Path(str(args.out) + ".warnings")
+        if warnings:
             sidecar.write_text("\n".join(warnings) + "\n", newline="\n")
             _note(f"{len(warnings)} warning(s) written to {sidecar}")
+        else:
+            sidecar.unlink(missing_ok=True)  # a previous run's warnings are not this table's
     return EXIT_OK
 
 

@@ -31,8 +31,6 @@ __all__ = [
     "AnalyticResult",
     "CONFIG_KEYS",
     "derive",
-    "validate",
-    "ensure_valid",
     "mean_snr",
     "noise_power_w",
     "wavelength_m",
@@ -105,6 +103,47 @@ class SystemConfig:
     mixture_truncation: float = 1e-12  # tail mass dropped from the relocation mixture
     quadrature_tol: float = 1e-8  # relative tolerance of analytic integrals
 
+    def __post_init__(self):
+        """Check every invariant; raise :class:`ConfigError` with one message per violation."""
+        errors: list[str] = []
+        ch, mn = self.channel, self.miner
+
+        if not isinstance(self.num_miners, int) or self.num_miners < 1:
+            errors.append("num_miners must be >= 1")
+        for name, value in (
+            ("carrier_frequency_hz", ch.carrier_frequency_hz),
+            ("distance_m", ch.distance_m),
+            ("bandwidth_hz", ch.bandwidth_hz),
+            ("tx_power_w", ch.tx_power_w),
+            ("compute_power_w", mn.compute_power_w),
+            ("lambda0", mn.lambda0),
+            ("mobility_power_w", mn.mobility_power_w),
+            ("speed_mps", mn.speed_mps),
+            ("ack_bits", mn.ack_bits),
+        ):
+            if not (math.isfinite(value) and value > 0.0):
+                errors.append(f"{name} must be positive")
+        if not math.isfinite(ch.noise_psd_dbm_hz):
+            errors.append("noise_psd_dbm_hz must be finite")
+        if not (math.isfinite(ch.snr_threshold) and ch.snr_threshold > 0.0):
+            errors.append("snr_threshold must be positive")
+        if not isinstance(self.latency_model, LatencyModel):
+            errors.append("latency_model must be 'total' or 'wireless_only'")
+        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
+            errors.append("rng_seed must be an integer in [0, 2^64)")
+        if not 0.0 < self.mixture_truncation < 1.0:
+            errors.append("mixture_truncation must be in (0, 1)")
+        if not 0.0 < self.quadrature_tol < 1e-2:
+            errors.append("quadrature_tol must be in (0, 1e-2)")
+
+        if not errors:
+            try:
+                derive(ch, mn)
+            except ValueError as exc:
+                errors.append(str(exc))
+        if errors:
+            raise ConfigError(errors)
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -124,8 +163,9 @@ class AnalyticResult:
     """Bundle of analytic outputs for one configuration.
 
     ``quadrature_error`` is the absolute error estimate of ``no_fork_prob``
-    (the dominant quadrature; the uplink expectation is driven to the same
-    relative tolerance).
+    alone. ``exp_uplink`` comes from a quadrature at the same relative
+    tolerance, but its error estimate is not reported, so no error bound
+    covers ``exp_uplink``, ``exp_round_energy`` or ``avg_block_energy``.
     """
 
     no_fork_prob: float
@@ -141,9 +181,17 @@ def wavelength_m(carrier_frequency_hz: float) -> float:
     return SPEED_OF_LIGHT / carrier_frequency_hz
 
 
+def _from_db(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def _to_db(linear: float) -> float:
+    return 10.0 * math.log10(linear)
+
+
 def noise_power_w(noise_psd_dbm_hz: float, bandwidth_hz: float) -> float:
     """Noise power in W over a band, for a flat PSD given in dBm/Hz."""
-    return 10.0 ** ((noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
+    return _from_db(noise_psd_dbm_hz + _to_db(bandwidth_hz) - 30.0)
 
 
 def _path_gain(channel: ChannelParams) -> float:
@@ -160,34 +208,52 @@ def mean_snr(channel: ChannelParams) -> float:
     )
 
 
+def _positive(name: str, inputs: str, compute) -> float:
+    """``compute()`` when finite and positive, else ValueError naming its ``inputs``."""
+    try:
+        value = compute()
+    except ArithmeticError:  # an overflow, or a divisor that underflowed to zero
+        raise ValueError(f"derived {name} is out of float range; check {inputs}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"derived {name} is not finite and positive (got {value!r}); check {inputs}"
+        )
+    return value
+
+
 def derive(channel: ChannelParams, miner: MinerParams) -> DerivedParams:
     """Compute all derived scalars. Pure; raises ValueError on non-finite results.
 
     Free-space path gain (wavelength / 4 pi d)^2; noise power from dBm/Hz PSD
     times bandwidth; SNR rate = noise power / (gain * tx power); compute rate
     lambda0 * compute power; relocation time (wavelength/2) / speed; max
-    uplink latency ack_bits / (B log2(1 + threshold)).
+    uplink latency ack_bits / (B log2(1 + threshold)). Each error message
+    names the fields the failing scalar is computed from.
     """
-    lam = wavelength_m(channel.carrier_frequency_hz)
-    gain = _path_gain(channel)
-    noise = noise_power_w(channel.noise_psd_dbm_hz, channel.bandwidth_hz)
-    snr_rate = noise / (gain * channel.tx_power_w)
-    compute_rate = miner.lambda0 * miner.compute_power_w
-    move_time = (lam / 2.0) / miner.speed_mps
-    max_uplink = miner.ack_bits / (channel.bandwidth_hz * math.log2(1.0 + channel.snr_threshold))
-    success_prob = math.exp(-snr_rate * channel.snr_threshold)
-
-    values = {
-        "path_gain": gain,
-        "noise_power": noise,
-        "snr_rate": snr_rate,
-        "compute_rate": compute_rate,
-        "move_time": move_time,
-        "max_uplink": max_uplink,
-    }
-    for name, value in values.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"derived {name} is not finite and positive (got {value!r})")
+    ch, mn = channel, miner
+    link = "carrier_frequency_hz, distance_m"
+    band = "noise_psd_dbm_hz, bandwidth_hz"
+    gain = _positive("path_gain", link, lambda: _path_gain(ch))
+    noise = _positive(
+        "noise_power", band, lambda: noise_power_w(ch.noise_psd_dbm_hz, ch.bandwidth_hz)
+    )
+    snr_rate = _positive(
+        "snr_rate", f"tx_power_w, {link}, {band}", lambda: noise / (gain * ch.tx_power_w)
+    )
+    compute_rate = _positive(
+        "compute_rate", "lambda0, compute_power_w", lambda: mn.lambda0 * mn.compute_power_w
+    )
+    move_time = _positive(
+        "move_time",
+        "carrier_frequency_hz, speed_mps",
+        lambda: (wavelength_m(ch.carrier_frequency_hz) / 2.0) / mn.speed_mps,
+    )
+    max_uplink = _positive(
+        "max_uplink",
+        "ack_bits, bandwidth_hz, snr_threshold",
+        lambda: mn.ack_bits / (ch.bandwidth_hz * math.log2(1.0 + ch.snr_threshold)),
+    )
+    success_prob = math.exp(-snr_rate * ch.snr_threshold)
     if gain >= 1.0:
         raise ValueError("derived path_gain must be below 1 (distance is inside the near field)")
     if not 0.0 <= success_prob <= 1.0:
@@ -204,78 +270,32 @@ def derive(channel: ChannelParams, miner: MinerParams) -> DerivedParams:
     )
 
 
-def validate(config: SystemConfig) -> list[str]:
-    """Check every invariant; return one message per violation (empty = valid)."""
-    errors: list[str] = []
-    ch, mn = config.channel, config.miner
-
-    if not isinstance(config.num_miners, int) or config.num_miners < 1:
-        errors.append("num_miners must be >= 1")
-    for name, value in (
-        ("carrier_frequency_hz", ch.carrier_frequency_hz),
-        ("distance_m", ch.distance_m),
-        ("bandwidth_hz", ch.bandwidth_hz),
-        ("tx_power_w", ch.tx_power_w),
-        ("compute_power_w", mn.compute_power_w),
-        ("lambda0", mn.lambda0),
-        ("mobility_power_w", mn.mobility_power_w),
-        ("speed_mps", mn.speed_mps),
-        ("ack_bits", mn.ack_bits),
-    ):
-        if not (math.isfinite(value) and value > 0.0):
-            errors.append(f"{name} must be positive")
-    if not math.isfinite(ch.noise_psd_dbm_hz):
-        errors.append("noise_psd_dbm_hz must be finite")
-    if not (math.isfinite(ch.snr_threshold) and ch.snr_threshold > 0.0):
-        errors.append("snr_threshold must be positive")
-    if not isinstance(config.latency_model, LatencyModel):
-        errors.append("latency_model must be 'total' or 'wireless_only'")
-    if not isinstance(config.rng_seed, int) or not 0 <= config.rng_seed < 2**64:
-        errors.append("rng_seed must be an integer in [0, 2^64)")
-    if not 0.0 < config.mixture_truncation < 1.0:
-        errors.append("mixture_truncation must be in (0, 1)")
-    if not 0.0 < config.quadrature_tol < 1e-2:
-        errors.append("quadrature_tol must be in (0, 1e-2)")
-
-    if not errors:
-        try:
-            derive(ch, mn)
-        except ValueError as exc:
-            errors.append(str(exc))
-    return errors
-
-
-def ensure_valid(config: SystemConfig) -> None:
-    """Raise :class:`ConfigError` listing every violated invariant."""
-    errors = validate(config)
-    if errors:
-        raise ConfigError(errors)
-
-
 # --- configuration files ----------------------------------------------------
 #
 # Flat "key = value" text, one pair per line, '#' comments. All keys are
-# required and unknown keys are rejected. dB/dBm values are converted to
-# linear/W on load.
+# required and unknown keys are rejected. The key table below is the one
+# mapping between file keys and SystemConfig fields: each key's section
+# (None for SystemConfig itself), field and unit. A "dB" key holds
+# 10 log10 of its linear field.
 
-CONFIG_KEYS = (
-    "num_miners",
-    "carrier_frequency_hz",
-    "distance_m",
-    "bandwidth_hz",
-    "noise_psd_dbm_hz",
-    "tx_power_w",
-    "snr_threshold_db",
-    "compute_power_w",
-    "lambda0",
-    "mobility_power_w",
-    "speed_mps",
-    "ack_bits",
-    "latency_model",
-    "rng_seed",
-)
+_KEYS = {
+    "num_miners": (None, "num_miners", int),
+    "carrier_frequency_hz": ("channel", "carrier_frequency_hz", float),
+    "distance_m": ("channel", "distance_m", float),
+    "bandwidth_hz": ("channel", "bandwidth_hz", float),
+    "noise_psd_dbm_hz": ("channel", "noise_psd_dbm_hz", float),
+    "tx_power_w": ("channel", "tx_power_w", float),
+    "snr_threshold_db": ("channel", "snr_threshold", "dB"),
+    "compute_power_w": ("miner", "compute_power_w", float),
+    "lambda0": ("miner", "lambda0", float),
+    "mobility_power_w": ("miner", "mobility_power_w", float),
+    "speed_mps": ("miner", "speed_mps", float),
+    "ack_bits": ("miner", "ack_bits", float),
+    "latency_model": (None, "latency_model", LatencyModel),
+    "rng_seed": (None, "rng_seed", int),
+}
 
-_INT_KEYS = frozenset({"num_miners", "rng_seed"})
+CONFIG_KEYS = tuple(_KEYS)
 
 
 def parse_flat_text(text: str, allowed_keys) -> dict[str, str]:
@@ -302,99 +322,77 @@ def parse_flat_text(text: str, allowed_keys) -> dict[str, str]:
     return seen
 
 
-def _parse_latency_model(value: str):
-    normalized = value.strip().lower().replace("-", "_")
-    if normalized in ("total",):
-        return LatencyModel.TOTAL
-    if normalized in ("wireless_only", "wirelessonly"):
-        return LatencyModel.WIRELESS_ONLY
-    return None
+def parse_value(key: str, text: str):
+    """The file value of config key ``key`` written as ``text``, in the file's unit."""
+    unit = _KEYS[key][2]
+    if unit is LatencyModel:
+        normalized = text.strip().lower().replace("-", "_")
+        if normalized not in ("total", "wireless_only", "wirelessonly"):
+            raise ConfigError(["latency_model must be 'total' or 'wireless_only'"])
+        return LatencyModel.TOTAL if normalized == "total" else LatencyModel.WIRELESS_ONLY
+    try:
+        return int(text) if unit is int else float(text)
+    except ValueError:
+        kind = "an integer" if unit is int else "a number"
+        raise ConfigError([f"{key} must be {kind}, got {text!r}"]) from None
 
 
-def parse_config_text(text: str) -> SystemConfig:
-    """Parse and validate a config file body. Raises ConfigError on any problem."""
-    seen = parse_flat_text(text, CONFIG_KEYS)
+def config_values(seen: dict[str, str]) -> dict[str, object]:
+    """File values of every config key, parsed from ``seen`` (text by key).
+
+    Raises ConfigError naming every missing or unparsable key.
+    """
     errors = [f"missing key: {k}" for k in CONFIG_KEYS if k not in seen]
     if errors:
         raise ConfigError(errors)
-
-    parsed: dict[str, object] = {}
-    for key, value in seen.items():
-        if key == "latency_model":
-            model = _parse_latency_model(value)
-            if model is None:
-                errors.append("latency_model must be 'total' or 'wireless_only'")
-            else:
-                parsed[key] = model
-        elif key in _INT_KEYS:
-            try:
-                parsed[key] = int(value)
-            except ValueError:
-                errors.append(f"{key} must be an integer, got {value!r}")
-        else:
-            try:
-                parsed[key] = float(value)
-            except ValueError:
-                errors.append(f"{key} must be a number, got {value!r}")
+    values: dict[str, object] = {}
+    for key in CONFIG_KEYS:
+        try:
+            values[key] = parse_value(key, seen[key])
+        except ConfigError as exc:
+            errors.extend(exc.errors)
     if errors:
         raise ConfigError(errors)
+    return values
 
-    config = SystemConfig(
-        num_miners=parsed["num_miners"],
-        channel=ChannelParams(
-            carrier_frequency_hz=parsed["carrier_frequency_hz"],
-            distance_m=parsed["distance_m"],
-            bandwidth_hz=parsed["bandwidth_hz"],
-            noise_psd_dbm_hz=parsed["noise_psd_dbm_hz"],
-            tx_power_w=parsed["tx_power_w"],
-            snr_threshold=10.0 ** (parsed["snr_threshold_db"] / 10.0),
-        ),
-        miner=MinerParams(
-            compute_power_w=parsed["compute_power_w"],
-            lambda0=parsed["lambda0"],
-            mobility_power_w=parsed["mobility_power_w"],
-            speed_mps=parsed["speed_mps"],
-            ack_bits=parsed["ack_bits"],
-        ),
-        latency_model=parsed["latency_model"],
-        rng_seed=parsed["rng_seed"],
+
+def config_from_values(values: dict[str, object]) -> SystemConfig:
+    """Build, and so check, the SystemConfig whose file values ``values`` holds."""
+    parts: dict[str | None, dict] = {None: {}, "channel": {}, "miner": {}}
+    for key, (section, name, unit) in _KEYS.items():
+        value = values[key]
+        if unit == "dB":
+            try:
+                value = _from_db(value)
+            except OverflowError:
+                raise ConfigError([f"{key} is out of range, got {value!r}"]) from None
+        parts[section][name] = value
+    return SystemConfig(
+        channel=ChannelParams(**parts["channel"]),
+        miner=MinerParams(**parts["miner"]),
+        **parts[None],
     )
-    ensure_valid(config)
-    return config
+
+
+def parse_config_text(text: str) -> SystemConfig:
+    """Parse a config file body. Raises ConfigError on any problem."""
+    return config_from_values(config_values(parse_flat_text(text, CONFIG_KEYS)))
 
 
 def load_config(path) -> SystemConfig:
     return parse_config_text(Path(path).read_text())
 
 
-def config_items(config: SystemConfig) -> list[tuple[str, object]]:
-    """Canonical (key, value) pairs in config-file units and key order."""
-    ch, mn = config.channel, config.miner
-    return [
-        ("num_miners", config.num_miners),
-        ("carrier_frequency_hz", ch.carrier_frequency_hz),
-        ("distance_m", ch.distance_m),
-        ("bandwidth_hz", ch.bandwidth_hz),
-        ("noise_psd_dbm_hz", ch.noise_psd_dbm_hz),
-        ("tx_power_w", ch.tx_power_w),
-        ("snr_threshold_db", 10.0 * math.log10(ch.snr_threshold)),
-        ("compute_power_w", mn.compute_power_w),
-        ("lambda0", mn.lambda0),
-        ("mobility_power_w", mn.mobility_power_w),
-        ("speed_mps", mn.speed_mps),
-        ("ack_bits", mn.ack_bits),
-        ("latency_model", config.latency_model.value),
-        ("rng_seed", config.rng_seed),
-    ]
-
-
 def config_text(config: SystemConfig) -> str:
     """Emit a config in file form (round-trips through parse_config_text)."""
     lines = []
-    for key, value in config_items(config):
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
+    for key, (section, name, unit) in _KEYS.items():
+        value = getattr(getattr(config, section) if section else config, name)
+        if unit == "dB":
+            value = _to_db(value)
+        elif unit is LatencyModel:
+            value = value.value
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

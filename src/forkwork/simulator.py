@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import LatencyDistribution, substream
-from .model import SystemConfig, derive, ensure_valid
+from .model import SystemConfig, derive
 
 __all__ = [
     "Estimate",
@@ -237,7 +237,6 @@ def estimate(
     Deterministic given (config.rng_seed, config): results are bit-identical
     across runs and across worker counts.
     """
-    ensure_valid(config)
     if num_round_trials < 100 or num_blocks < 100:
         raise ValueError("trial counts must be >= 100")
     if max_rounds < 1:

@@ -4,7 +4,7 @@ import pytest
 
 from forkwork import cli
 from forkwork.analytic import QuadratureError
-from forkwork.model import config_text, default_config
+from forkwork.model import SystemConfig, config_text, default_config
 
 
 def _write_config(tmp_path, cfg=None, name="config.txt"):
@@ -60,6 +60,20 @@ def test_analytic_evaluates_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "evaluate", counting)
     assert cli.main(["analytic", path, "--out", str(tmp_path / "row.csv")]) == 0
     assert len(calls) == 1
+
+
+def test_analytic_checks_config_once(tmp_path, monkeypatch):
+    path = _write_config(tmp_path)
+    checks = []
+    real = SystemConfig.__post_init__
+
+    def counting(config):
+        checks.append(config)
+        real(config)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    assert cli.main(["analytic", path, "--out", str(tmp_path / "row.csv")]) == 0
+    assert len(checks) == 1
 
 
 def test_missing_key_exit_code(tmp_path, capsys):
@@ -118,6 +132,36 @@ def test_law_construction_error_exit_code(tmp_path, capsys, command, snr_fractio
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "row.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, named",
+    [
+        ("analytic", "snr_threshold_db", "4000", "snr_threshold_db"),
+        ("analytic", "noise_psd_dbm_hz", "4000", "noise_psd_dbm_hz"),
+        ("analytic", "distance_m", "1e-200", "distance_m"),
+        ("analytic", "distance_m", "1e300", "distance_m"),  # path gain underflows to 0
+        ("analytic", "tx_power_w", "1e-320", "tx_power_w"),  # gain * power underflows to 0
+        ("analytic", "snr_threshold_db", "-3000", "snr_threshold"),  # log2(1 + threshold) is 0
+        ("sweep", "snr_threshold_db", "60, 4000", "snr_threshold_db"),
+    ],
+)
+def test_out_of_range_value_is_config_error(tmp_path, capsys, command, key, value, named):
+    text = config_text(default_config())
+    if command == "sweep":
+        text += f"sweep_param = {key}\nsweep_values = {value}\n"
+    else:
+        text = "\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} = ") else line
+            for line in text.splitlines()
+        )
+    path, out = tmp_path / "extreme.txt", tmp_path / "out.csv"
+    path.write_text(text)
+    assert cli.main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --- simulate ---------------------------------------------------------------
@@ -289,6 +333,21 @@ def test_sweep_rejects_bad_spec(tmp_path):
     assert cli.main(["sweep", spec3]) == 1
 
 
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("num_miners", "0, 2", "num_miners must be >= 1"),
+        ("tx_power_w", "-1, 0.1", "tx_power_w must be positive"),
+    ],
+)
+def test_sweep_bad_value_rejected_when_read(tmp_path, capsys, param, values, message):
+    spec = _sweep_file(tmp_path, f"sweep_param = {param}\nsweep_values = {values}\n")
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", spec, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_preset_fig2_shape(tmp_path):
     out = tmp_path / "fig2.csv"
     assert (
@@ -359,6 +418,19 @@ def test_sweep_point_failure_warns_and_continues(tmp_path):
     sidecar = tmp_path / "partial.csv.warnings"
     assert sidecar.exists()
     assert "snr_threshold_db=250" in sidecar.read_text()
+
+
+def test_sweep_without_warnings_removes_stale_sidecar(tmp_path):
+    out = tmp_path / "table.csv"
+    sidecar = tmp_path / "table.csv.warnings"
+    trials = "round_trials = 1000\nblock_trials = 100\n"
+    swept = "sweep_param = snr_threshold_db\n"
+    warned = _sweep_file(tmp_path, swept + "sweep_values = 60, 250\n" + trials)
+    assert cli.main(["sweep", warned, "--out", str(out)]) == 0
+    assert sidecar.exists()
+    clean = _sweep_file(tmp_path, swept + "sweep_values = 60\n" + trials)
+    assert cli.main(["sweep", clean, "--out", str(out)]) == 0
+    assert not sidecar.exists()
 
 
 def test_csv_float_format_17g(tmp_path):

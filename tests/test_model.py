@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -9,6 +10,7 @@ from forkwork.model import (
     ChannelParams,
     ConfigError,
     LatencyModel,
+    SystemConfig,
     config_digest,
     config_text,
     default_config,
@@ -16,7 +18,6 @@ from forkwork.model import (
     mean_snr,
     noise_power_w,
     parse_config_text,
-    validate,
 )
 
 
@@ -87,43 +88,64 @@ def test_default_threshold_sits_at_mean_snr():
 
 
 def test_validate_default_ok():
-    assert validate(default_config()) == []
+    cfg = default_config()  # building a SystemConfig checks it
+    assert replace(cfg) == cfg
 
 
 def test_validate_zero_miners():
-    errors = validate(replace(default_config(), num_miners=0))
-    assert any("num_miners" in e for e in errors)
+    with pytest.raises(ConfigError) as exc:
+        replace(default_config(), num_miners=0)
+    assert any("num_miners" in e for e in exc.value.errors)
 
 
 def test_validate_negative_threshold():
     cfg = default_config()
-    bad = replace(cfg, channel=replace(cfg.channel, snr_threshold=-1.0))
-    assert any(e == "snr_threshold must be positive" for e in validate(bad))
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, channel=replace(cfg.channel, snr_threshold=-1.0))
+    assert any(e == "snr_threshold must be positive" for e in exc.value.errors)
 
 
 def test_validate_zero_threshold_rejected():
     # threshold 0 would make the max uplink latency infinite
     cfg = default_config()
-    bad = replace(cfg, channel=replace(cfg.channel, snr_threshold=0.0))
-    assert validate(bad)
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, channel=replace(cfg.channel, snr_threshold=0.0))
+    assert exc.value.errors
 
 
 def test_validate_aggregates_everything():
     cfg = default_config()
-    bad = replace(
-        cfg,
-        num_miners=0,
-        channel=replace(cfg.channel, snr_threshold=-1.0, tx_power_w=-2.0),
-    )
-    errors = validate(bad)
-    assert len(errors) >= 3
+    with pytest.raises(ConfigError) as exc:
+        replace(
+            cfg,
+            num_miners=0,
+            channel=replace(cfg.channel, snr_threshold=-1.0, tx_power_w=-2.0),
+        )
+    assert len(exc.value.errors) >= 3
 
 
 def test_validate_tolerances():
     cfg = default_config()
-    assert validate(replace(cfg, quadrature_tol=0.5))
-    assert validate(replace(cfg, mixture_truncation=0.0))
-    assert validate(replace(cfg, rng_seed=-1))
+    for change in ({"quadrature_tol": 0.5}, {"mixture_truncation": 0.0}, {"rng_seed": -1}):
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, **change)
+        assert exc.value.errors
+
+
+def test_config_is_checked_once_when_built(monkeypatch):
+    cfg = default_config()
+    checks = []
+    real = SystemConfig.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        real(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting)
+    replace(cfg, num_miners=3)
+    assert len(checks) == 1
+    pickle.loads(pickle.dumps(cfg))  # how a config reaches a pool worker
+    assert len(checks) == 1
 
 
 def test_derive_rejects_near_field():
