@@ -229,11 +229,11 @@ class _SurvivalEvaluator:
       g(x) = carry exp(-rate x)                 x >= max_up, carry = W(max_up).
     Below the onset the uplink law has no mass in double precision
     (P(T_up <= onset) = exp(-746) rounds to 0), so those components survive
-    surely, as do those that have not arrived (x <= 0). Only the counts
-    whose shifted lag falls inside (onset, max_up) need W; for each lag
-    there are at most ceil((max_up - onset) / move_time) + 1 of them. The
-    counts before and after that window sum in closed form (geometric), so q
-    itself carries no mixture truncation error.
+    surely, as do those that have not arrived (x <= 0). q is computed one
+    way for every caller: ``_walk`` runs the exact recurrence
+    q(t + move_time) = p g(t + move_time) + (1-p) q(t) up from a lag at or
+    below the onset, where q = 1, and ``_beyond`` continues it in closed form
+    past the uplink window. q itself carries no mixture truncation error.
     """
 
     def __init__(self, dist: LatencyDistribution, rate: float, tol: float):
@@ -292,46 +292,55 @@ class _SurvivalEvaluator:
             out[beyond] = self.carry * np.exp(-self.rate * x[beyond])
         return out
 
+    def _walk(self, u, last: int):
+        """Yield (k, q(u + k move_time)) for k = 0..last, by the recurrence from
+        lags at or below the onset, where q = 1; counts that far back weigh
+        (1-p)^n_zero = 0 when the walk is cut there."""
+        p, tm = self.dist.success_prob, self.dist.move_time
+        stay = 1.0 - p
+        first = -min(max(1, math.ceil((float(np.max(u)) - self._onset) / tm)), self._n_zero)
+        ks = np.arange(first + 1, last + 1)
+        g = self._q_component(ks[:, None] * tm + u)
+        q = np.ones(u.shape)
+        for k, g_k in zip(ks, g):
+            q = stay * q + p * g_k
+            if k >= 0:
+                yield k, q
+
+    def _beyond(self, q_last, x_last, j):
+        """q(x_last + j move_time) from q_last = q(x_last), where x_last + move_time >= max_up.
+
+        There g is carry exp(-rate x), so with rho = exp(-rate move_time)
+        q = (1-p)^j q_last + p carry exp(-rate x_last) sum_{i=1}^{j} (1-p)^(j-i) rho^i.
+        """
+        log_stay, log_rho = self._log_stay, -self.rate * self.dist.move_time
+        mixed = _geometric_sum(log_rho + (j - 1.0) * log_stay, log_rho - log_stay, j)
+        c = self.dist.success_prob * self.carry * np.exp(-self.rate * x_last)
+        return np.exp(j * log_stay) * q_last + c * mixed
+
     def survival(self, t_star):
         """q(t*), scalar in, scalar out; array in, array out."""
         t = np.atleast_1d(np.asarray(t_star, dtype=float)).ravel()
         if not self.relocates:
             out = self._q_component(t)
         else:
+            # t* = u + k move_time with u <= max_up: q(u) by the walk, then k steps beyond
+            tm = self.dist.move_time
+            k = np.maximum(np.ceil((t - self.dist.max_uplink) / tm), 0.0)
+            u = t - k * tm
             out = np.empty(t.shape)
             rows = max(1, _BLOCK // self._window)
             for start in range(0, len(t), rows):
-                out[start : start + rows] = self._windowed_survival(t[start : start + rows])
+                s = slice(start, start + rows)
+                out[s] = self._beyond(next(self._walk(u[s], 0))[1], u[s], k[s])
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
-
-    def _windowed_survival(self, t):
-        d = self.dist
-        p, tm, hi, r = d.success_prob, d.move_time, d.max_uplink, self.rate
-        # counts >= arrived sit at or below the onset (g = 1); counts <
-        # passed are beyond the uplink window (g exponential); the rest need W
-        arrived = np.clip(np.ceil((t - self._onset) / tm), 0.0, None)
-        passed = np.where(t > hi, np.floor((t - hi) / tm) + 1.0, 0.0)
-        passed = np.minimum(passed, arrived)
-        inside_end = np.minimum(arrived, float(self._n_zero))
-        width = int(max(0.0, float(np.max(inside_end - passed))))
-        out = np.exp(arrived * self._log_stay)
-        if width:
-            counts = passed[:, None] + np.arange(width)
-            g = self._q_component(t[:, None] - counts * tm)
-            terms = np.where(counts < inside_end[:, None], np.exp(counts * self._log_stay) * g, 0.0)
-            out += p * terms.sum(axis=1)
-        step = self._log_stay + r * tm
-        out += self.carry * _geometric_sum(math.log(p) - r * t, step, passed)
-        return out
 
     def mixture_power_sum(self, u, power: int, n_max: int, floor: float):
         """sum_{m=0}^{n_max} p (1-p)^m q(u + m move_time)^power for lags u in (0, max_up].
 
-        Returns (sums, skipped). Walks m with the exact recurrence
-        q(t + move_time) = p g(t + move_time) + (1-p) q(t), which needs W
-        only while u + m move_time < max_up. Past that window g is carry
-        exp(-rate x), and q(u + m move_time) has a closed form in m; those
+        Returns (sums, skipped). The walk gives q(u + m move_time) while
+        u + m move_time < max_up, the closed form past that window; those
         counts are summed in blocks until the terms left are below ``floor``.
         ``skipped`` bounds the sum of the terms left out.
         """
@@ -352,31 +361,21 @@ class _SurvivalEvaluator:
 
     def _mixture_block(self, u, power, n_max, floor):
         d = self.dist
-        p, tm, hi, r = d.success_prob, d.move_time, d.max_uplink, self.rate
+        p, tm, hi = d.success_prob, d.move_time, d.max_uplink
         stay, log_stay = 1.0 - p, self._log_stay
-        # q(u + k tm) = 1 for k <= first (the lag is at or below the onset);
-        # counts that far back weigh (1-p)^n_zero = 0 when the window is cut there
-        first = -min(max(1, math.ceil((float(u[-1]) - self._onset) / tm)), self._n_zero)
         last = min(n_max, max(0, math.ceil((hi - float(u[0])) / tm) - 1))
-        ks = np.arange(first + 1, last + 1)
-        g = self._q_component(ks[:, None] * tm + u)
-        q = np.ones(u.shape)
         total = np.zeros(u.shape)
-        for k, g_k in zip(ks, g):
-            q = stay * q + p * g_k
-            if k >= 0:
-                total += p * stay**k * q**power
+        for k, q in self._walk(u, last):
+            total += p * stay**k * q**power
         if last >= n_max:
             return total, 0.0
 
-        # m = last + j: q = (1-p)^j q_last + c sum_{i=1}^{j} (1-p)^(j-i) rho^i
-        log_rho = -r * tm
-        c = p * self.carry * np.exp(-r * (u + last * tm))
+        # m = last + j, in blocks of j
+        x_last = (u + last * tm)[:, None]
         cols = max(16, _BLOCK // len(u))
         for j0 in range(1, n_max - last + 1, cols):
             j = np.arange(j0, min(j0 + cols, n_max - last + 1), dtype=float)
-            mixed = _geometric_sum(log_rho + (j - 1.0) * log_stay, log_rho - log_stay, j)
-            qj = np.exp(j * log_stay) * q[:, None] + c[:, None] * mixed
+            qj = self._beyond(q[:, None], x_last, j)
             weights = p * np.exp((last + j) * log_stay)
             total += (qj**power) @ weights
             rest = float(np.max(qj[:, -1] ** power)) * math.exp((last + j[-1] + 1.0) * log_stay)

@@ -32,7 +32,7 @@ from .model import (
     parse_flat_text,
     parse_value,
 )
-from .simulator import SimulationSummary, estimate
+from .simulator import MIN_TRIALS, SimulationSummary, estimate
 
 __all__ = ["main", "parse_sweep_text", "preset_jobs", "PRESETS"]
 
@@ -112,8 +112,8 @@ def parse_sweep_text(text: str) -> tuple[list[tuple[str, object, SystemConfig]],
         raise ConfigError(["round_trials and block_trials must be integers"]) from None
     if any(b <= a for a, b in zip(points, points[1:])):
         errors.append("sweep_values must be strictly increasing")
-    if round_trials < 100 or block_trials < 100:
-        errors.append("trials must be >= 100")
+    if round_trials < MIN_TRIALS or block_trials < MIN_TRIALS:
+        errors.append(f"trials must be >= {MIN_TRIALS}")
     if errors:
         raise ConfigError(errors)
     jobs = [(param, p, config_from_values({**values, param: p})) for p in points]
@@ -308,7 +308,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="forkwork", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    trials, seed, workers = _int_in(100), _int_in(0, 2**64), _int_in(1)
+    trials, seed, workers = _int_in(MIN_TRIALS), _int_in(0, 2**64), _int_in(1)
 
     p_analytic = sub.add_parser("analytic", help="closed-form/quadrature metrics for one config")
     p_analytic.add_argument("config", help="path to a flat key=value config file")

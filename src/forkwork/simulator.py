@@ -32,11 +32,13 @@ __all__ = [
     "ROUND_CHUNK",
     "BLOCK_CHUNK",
     "BLOCK_BATCH",
+    "MIN_TRIALS",
 ]
 
 ROUND_CHUNK = 4096
 BLOCK_CHUNK = 256
 BLOCK_BATCH = 512  # rounds drawn per batch on a block substream
+MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
 _ROUND_STREAM = 0
 _BLOCK_STREAM = 1
 
@@ -118,7 +120,7 @@ def _rows(limit: int, num_miners: int) -> int:
 def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
     """Simulate ``count`` independent rounds; return commutative partial sums."""
     rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
-    forked, *values = _race(rng, config, dist, count)
+    forked, _, *values = _race(rng, config, dist, count)
     sums = [count, int(np.count_nonzero(forked))]
     for v in values:
         sums += [float(v.sum()), float((v**2).sum())]
@@ -237,8 +239,8 @@ def estimate(
     Deterministic given (config.rng_seed, config): results are bit-identical
     across runs and across worker counts.
     """
-    if num_round_trials < 100 or num_blocks < 100:
-        raise ValueError("trial counts must be >= 100")
+    if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
+        raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if dist is None:
@@ -250,7 +252,7 @@ def estimate(
         (repeat(config), repeat(dist), range(len(sizes)), sizes),
         workers,
     )
-    totals = [sum(p[i] for p in parts) for i in range(12)]
+    totals = [sum(p[i] for p in parts) for i in range(10)]
     n = totals[0]
     forks = totals[1]
     fork_rate = forks / n
@@ -270,10 +272,10 @@ def estimate(
         no_fork_prob=Estimate(1.0 - fork_rate, fork_se),
         mean_rounds=_mean_se(nb, totals_b[1], totals_b[2]),
         mean_block_energy=_mean_se(nb, totals_b[3], totals_b[4]),
-        mean_winner_compute=_mean_se(n, totals[4], totals[5]),
-        mean_winner_move=_mean_se(n, totals[6], totals[7]),
-        mean_winner_uplink=_mean_se(n, totals[8], totals[9]),
-        mean_system_energy=_mean_se(n, totals[10], totals[11]),
+        mean_winner_compute=_mean_se(n, totals[2], totals[3]),
+        mean_winner_move=_mean_se(n, totals[4], totals[5]),
+        mean_winner_uplink=_mean_se(n, totals[6], totals[7]),
+        mean_system_energy=_mean_se(n, totals[8], totals[9]),
         round_trials=n,
         block_trials=nb,
         capped_blocks=int(totals_b[5]),

@@ -63,8 +63,9 @@ def test_integrator_budget_exhaustion_raises():
 
 
 def test_integrator_rejects_non_finite():
-    with pytest.raises(QuadratureError):
-        integrate_adaptive(lambda x: 1.0 / np.asarray(x), 0.0, 1.0, rel_tol=1e-8)
+    # inf on the right half of the range: the first pass of nodes meets it
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, rel_tol=1e-8)
 
 
 def test_integrator_breakpoints_split_the_range():
@@ -144,30 +145,34 @@ def _fig4_config(snr_q, tx_power_w):
     return cfg
 
 
+def _component_loop_q(ev, d, t):
+    """Reference q(t): every relocation count up to the first one that has not
+    arrived for any lag, one component at a time."""
+    p = d.success_prob
+    last = math.ceil(np.max(t) / d.move_time)
+    q = (1.0 - p) ** (last + 1) * np.ones_like(t)
+    for n in range(last + 1):
+        q += p * (1.0 - p) ** n * ev._q_component(t - n * d.move_time)
+    return np.minimum(q, 1.0)
+
+
 def test_survival_window_matches_component_loop():
-    # reference: every relocation count up to the first one that has not
-    # arrived for any lag, one component at a time
     d = _dist(_fig4_config(1.0, 0.05))  # mixture depth 190
     ev = analytic._evaluator(d, d.compute_rate, 1e-9)
     assert d.uplink_cdf(ev._onset) == 0.0  # no mass below the onset
     t = np.linspace(-0.01, d.n_max * d.move_time + 2 * d.max_uplink, 997)
-    p = d.success_prob
-    last = math.ceil(t.max() / d.move_time)
-    ref = (1.0 - p) ** (last + 1) * np.ones_like(t)
-    for n in range(last + 1):
-        ref += p * (1.0 - p) ** n * ev._q_component(t - n * d.move_time)
-    assert np.max(np.abs(survival_prob(t, d) - np.minimum(ref, 1.0))) <= 1e-14
+    assert np.max(np.abs(survival_prob(t, d) - _component_loop_q(ev, d, t))) <= 1e-14
 
 
 def test_mixture_power_sum_matches_component_loop():
+    # the reference q comes from the component loop, not from survival_prob
     d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate, 1e-9)
     u = np.linspace(d.max_uplink * 1e-3, d.max_uplink, 301)
     p, power = d.success_prob, 9
-    ref = sum(
-        p * (1.0 - p) ** m * survival_prob(u + m * d.move_time, d) ** power
-        for m in range(d.n_max + 1)
-    )
+    m = np.arange(d.n_max + 1)
+    q = _component_loop_q(ev, d, u + d.move_time * m[:, None])  # row m: q(u + m move_time)
+    ref = (p * (1.0 - p) ** m) @ q**power
     sums, skipped = ev.mixture_power_sum(u, power, d.n_max, 1e-15)
     assert skipped <= 1e-15
     assert np.max(np.abs(sums - ref)) <= 1e-13 + skipped

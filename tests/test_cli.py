@@ -348,6 +348,15 @@ def test_sweep_bad_value_rejected_when_read(tmp_path, capsys, param, values, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["round_trials", "block_trials"])
+def test_sweep_spec_trials_floor(tmp_path, capsys, key):
+    spec = _sweep_file(tmp_path, f"sweep_param = num_miners\nsweep_values = 2\n{key} = 99\n")
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", spec, "--out", str(out)]) == 1
+    assert "config error: trials must be >= 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_preset_fig2_shape(tmp_path):
     out = tmp_path / "fig2.csv"
     assert (
