@@ -86,9 +86,8 @@ def _gl_panels(f, los, his):
     h = 0.5 * (his - los)
     nodes = (0.5 * (los + his))[:, None] + h[:, None] * _GL_NODES
     vals = np.asarray(f(nodes.ravel()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite integrand value")
-    return h * (vals.reshape(nodes.shape) @ _GL_WEIGHTS)
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate_adaptive checks the sums
+        return h * (vals.reshape(nodes.shape) @ _GL_WEIGHTS)
 
 
 def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256, points=()):
@@ -100,7 +99,8 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
     estimate exceeds an equal share of the budget. Stops once the total error
     estimate is below max(abs_tol, rel_tol*|value|). Raises
     :class:`QuadratureError` if that needs more than ``max_intervals - 1``
-    bisections.
+    bisections, or if an integrand value, a panel, the value or the error
+    estimate is not finite.
     """
     if not b > a:
         return 0.0, 0.0
@@ -116,9 +116,12 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
 
     while True:
         lo, mid, hi, coarse, left, right = leaves
-        value = left + right
-        err = np.abs(value - coarse)
-        total, err_total = float(value.sum()), float(err.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            value = left + right
+            err = np.abs(value - coarse)
+            total, err_total = float(value.sum()), float(err.sum())
+        if not (math.isfinite(total) and math.isfinite(err_total)):  # a non-finite panel too
+            raise QuadratureError("non-finite sum", value=total, error_estimate=err_total)
         target = max(abs_tol, rel_tol * abs(total))
         if err_total <= target:
             return total, err_total

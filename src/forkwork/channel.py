@@ -60,9 +60,12 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def uplink_latency(snr, ack_bits: float, bandwidth_hz: float):
-    """Time to push the ACK through the link: ack_bits / (B log2(1 + snr))."""
-    return ack_bits / (bandwidth_hz * np.log2(1.0 + np.asarray(snr, dtype=float)))
+def uplink_latency(snr, ack_bits: float, bandwidth_hz: float, out=None):
+    """ACK time ack_bits / (B log2(1 + snr)), as (ack_bits ln2 / B) / log1p(snr).
+
+    ``out`` is passed to numpy, so ``out=snr`` works in place."""
+    log = np.log1p(np.asarray(snr, dtype=float), out=out)
+    return np.divide(ack_bits * _LN2 / bandwidth_hz, log, out=out)
 
 
 def _truncation_depth(success_prob: float, tail_mass: float) -> int:
@@ -196,15 +199,22 @@ class LatencyDistribution:
     def draw(self, rng: np.random.Generator, shape):
         """(relocation count, uplink latency, transmission latency) per entry.
 
-        Draw order: every relocation count, then every SNR, the SNR by
-        inverse transform threshold - ln(u) / rate with u uniform on (0, 1].
-        """
-        moves = rng.geometric(self.success_prob, shape) - 1
-        snr = self.snr_threshold - np.log(1.0 - rng.random(shape)) / self.snr_rate
-        uplink = uplink_latency(snr, self.ack_bits, self.bandwidth_hz)
+        Draw order: a standard exponential E per entry for every relocation count,
+        floor(E / -ln(1 - p)) as a float (0 when p = 1), then one for every SNR,
+        threshold + E / rate. Exact: P(count >= k) = P(E >= -k ln(1 - p)) = (1 - p)^k."""
+        p = self.success_prob
+        per_move = -math.log1p(-p) if p < 1.0 else math.inf
+        moves, snr = rng.standard_exponential((2, *np.atleast_1d(shape)))  # in place below
+        moves /= per_move
+        np.floor(moves, out=moves)
+        snr /= self.snr_rate
+        snr += self.snr_threshold
+        uplink = uplink_latency(snr, self.ack_bits, self.bandwidth_hz, out=snr)
         if self.variant is LatencyModel.WIRELESS_ONLY:
             return moves, uplink, uplink
-        return moves, uplink, uplink + moves * self.move_time
+        transmission = moves * self.move_time
+        transmission += uplink
+        return moves, uplink, transmission
 
 
 @dataclass(frozen=True)

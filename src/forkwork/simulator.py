@@ -1,6 +1,6 @@
 """Seeded Monte Carlo engine for the PoW race.
 
-One round: every miner draws an independent compute time and transmission
+One round: every miner has an independent compute time and transmission
 latency; the fastest computer is the rightful winner, the earliest ACK
 arrival decides who actually commits. A round forks when those two differ,
 and a forked block is recovered by racing again.
@@ -72,39 +72,37 @@ class SimulationSummary:
     config: SystemConfig
 
 
-def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
-    """Race ``count`` independent rounds in one batch.
+def _race(rng: np.random.Generator, config: SystemConfig, d, dist, count: int):
+    """Race ``count`` independent rounds in one batch; ``d`` is ``config``'s ``derive``.
 
-    Draw order: every compute time, then ``dist.draw`` (for the latency law
-    every relocation count, then every SNR), each as a (count, miners)
-    array. The rightful winner is the fastest computer; a round forks when
-    the first ACK to arrive is someone else's.
-    Ties go to the lowest index. Returns per-round arrays: forked, winner
-    energy, winner compute, move and uplink times, and the system energy.
-    The system energy is an extension metric: the winner's energy plus each
-    losing miner's compute power until the winner's ACK lands (zero-latency
-    backhaul). It takes no part in the analytic cross-checks.
-    """
-    d = derive(config.channel, config.miner)
-    shape = (count, config.num_miners)
-    compute = -np.log(1.0 - rng.random(shape)) / d.compute_rate  # u on (0, 1]
-    moves, uplink, transmission = dist.draw(rng, shape)
-    arrival = compute + transmission
+    Draw order: standard exponentials E of shape (miners, count), then
+    ``dist.draw`` of that shape. The miners are i.i.d., so the rightful winner
+    (the fastest computer) is raced as miner 0: the fastest of I compute times
+    is Exp(I rate), drawn as E[0] / (I rate), its index is uniform and
+    independent of it, and by memorylessness each loser computes for that time
+    plus its own E / rate. A round forks when some loser's E / rate plus its
+    transmission latency is below the winner's; the winner keeps an exact tie
+    (probability zero). Returns per-round arrays: forked, winner energy, winner
+    compute, move and uplink times, and the system energy, an extension metric:
+    the winner's energy plus each loser's compute power until the winner's ACK
+    lands, outside the analytic cross-checks."""
+    miners = config.num_miners
+    exp = rng.standard_exponential((miners, count))
+    moves, uplink, transmission = dist.draw(rng, (miners, count))
 
-    fastest = np.argmin(compute, axis=1)
-    rows = np.arange(count)
-    s_win = compute[rows, fastest]
-    move_win = moves[rows, fastest] * d.move_time_s
-    up_win = uplink[rows, fastest]
+    s_win = exp[0] / (miners * d.compute_rate)
+    move_win = moves[0] * d.move_time_s
+    up_win = uplink[0]
     energy = (
         config.miner.compute_power_w * s_win
         + config.miner.mobility_power_w * move_win
         + config.channel.tx_power_w * up_win
     )
-    system = energy + (
-        (config.num_miners - 1) * config.miner.compute_power_w * arrival[rows, fastest]
-    )
-    forked = fastest != np.argmin(arrival, axis=1)
+    system = energy + (miners - 1) * config.miner.compute_power_w * (s_win + transmission[0])
+    lag = exp[1:]  # a loser's compute time past the winner's, plus its transmission
+    lag /= d.compute_rate
+    lag += transmission[1:]
+    forked = lag.min(axis=0, initial=np.inf) < transmission[0]
     return forked, energy, s_win, move_win, up_win, system
 
 
@@ -117,17 +115,17 @@ def _rows(limit: int, num_miners: int) -> int:
     return max(1, min(limit, (1 << 20) // num_miners))
 
 
-def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
+def _round_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int):
     """Simulate ``count`` independent rounds; return commutative partial sums."""
     rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
-    forked, _, *values = _race(rng, config, dist, count)
+    forked, _, *values = _race(rng, config, d, dist, count)
     sums = [count, int(np.count_nonzero(forked))]
     for v in values:
         sums += [float(v.sum()), float((v**2).sum())]
     return tuple(sums)
 
 
-def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
+def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rounds: int):
     """Rounds, winner energy and cap flag of each of ``count`` blocks.
 
     A block races rounds until one commits without forking, or until
@@ -143,7 +141,7 @@ def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds
     rounds, energy, capped = [], [], []
     open_rounds, open_energy, done = 0, 0.0, 0
     while done < count:
-        forked, win_energy = _race(rng, config, dist, batch)[:2]
+        forked, win_energy = _race(rng, config, d, dist, batch)[:2]
         # rounds since the last commit, the open block's included; a run of
         # forks is cut into capped blocks at every multiple of max_rounds
         commits = np.maximum.accumulate(np.where(forked, -open_rounds, index))
@@ -167,8 +165,8 @@ def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds
     return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
 
 
-def _block_chunk(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
-    rounds, energy, capped = _blocks(config, dist, chunk_index, count, max_rounds)
+def _block_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rounds: int):
+    rounds, energy, capped = _blocks(config, d, dist, chunk_index, count, max_rounds)
     rounds = rounds.astype(float)
     return (
         count,
@@ -243,25 +241,25 @@ def estimate(
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    d = derive(config.channel, config.miner)
     if dist is None:
         dist = LatencyDistribution.from_config(config)
 
     sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
     parts = _run_tasks(
         _round_chunk,
-        (repeat(config), repeat(dist), range(len(sizes)), sizes),
+        (repeat(config), repeat(d), repeat(dist), range(len(sizes)), sizes),
         workers,
     )
     totals = [sum(p[i] for p in parts) for i in range(10)]
     n = totals[0]
-    forks = totals[1]
-    fork_rate = forks / n
+    fork_rate = totals[1] / n
     fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
 
     sizes_b = _chunk_sizes(num_blocks, BLOCK_CHUNK)
     parts_b = _run_tasks(
         _block_chunk,
-        (repeat(config), repeat(dist), range(len(sizes_b)), sizes_b, repeat(max_rounds)),
+        (repeat(config), repeat(d), repeat(dist), range(len(sizes_b)), sizes_b, repeat(max_rounds)),
         workers,
     )
     totals_b = [sum(p[i] for p in parts_b) for i in range(6)]

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,41 @@ def test_integrator_rejects_non_finite():
     # inf on the right half of the range: the first pass of nodes meets it
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate_adaptive(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, rel_tol=1e-8)
+
+
+def test_integrator_rejects_overflowing_panels():
+    # finite values whose panel sums overflow once looped forever (the error
+    # estimate was NaN); a child process with a timeout turns a hang into a failure
+    code = (
+        "import numpy as np\n"
+        "from forkwork.analytic import QuadratureError, integrate_adaptive\n"
+        "try:\n"
+        "    integrate_adaptive(lambda x: np.full_like(x, 1e308), 0.0, 10.0)\n"
+        "except QuadratureError as exc:\n"
+        "    print(exc)\n"
+    )
+    package_root = str(Path(analytic.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "non-finite" in done.stdout
+
+
+def test_integrator_rejects_overflowing_sum():
+    # every panel finite, their sum is not
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_adaptive(lambda x: np.full_like(x, 1e306), 0.0, 200.0, points=(100.0,))
+
+
+def test_integrator_passes_integrand_warnings_on():
+    # exp overflows inside the integrand, the integral stays finite; the
+    # integrator silences only its own sums, so the warning reaches the caller
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value, _ = integrate_adaptive(lambda x: 1.0 / np.exp(800.0 * x), 0.0, 1.0)
+    assert value == pytest.approx(1.0 / 800.0, rel=1e-8)
 
 
 def test_integrator_breakpoints_split_the_range():
@@ -430,11 +469,13 @@ def test_energy_components_positive_and_bounded():
 
 
 def test_energy_reduction_matches_simulator():
+    # rel = 0.05 is about 5 SE at I = 1 (se about 0.25 J on 25.6 J at 10k blocks)
+    # and 6 SE at I = 20, so the false-failure rate is below 1e-6 per run
     ratios = {}
     for miners in (1, 20):
         cfg = default_config(num_miners=miners)
         res = evaluate(cfg)
-        sim = estimate(cfg, num_blocks=1500, num_round_trials=1000)
+        sim = estimate(cfg, num_blocks=10_000, num_round_trials=1000)
         assert res.avg_block_energy == pytest.approx(
             sim.mean_block_energy.value, rel=0.05
         )

@@ -185,6 +185,60 @@ def test_simulate_worker_count_does_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# The simulated columns of two small CSVs, to 12 digits. They pin the random
+# stream: substreams, chunk and batch sizes, the race kernel's draw order and
+# the samplers. A stream change moves them by far more than the 1e-9 relative
+# allowance, which only absorbs last-bit differences of another numpy build,
+# libm or SIMD path; it must update them and name the columns whose bytes
+# moved in CHANGES.md. The analytic columns are not pinned here.
+STREAM_SIMULATE = {
+    "fork_rate": 0.015, "p_n": 0.985, "p_n_se": 0.00171901134377,
+    "rounds_mean": 1.01, "rounds_se": 0.00575416091998,
+    "energy_mean": 5.25921771181, "energy_se": 0.246737988129,
+    "s_mean": 0.512240830642, "tm_mean": 0.010715, "tu_mean": 0.239032182038,
+    "system_energy_mean": 35.1371003705, "capped_blocks": 0.0,
+}
+STREAM_FIG4_COLUMNS = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
+STREAM_FIG4 = [
+    (0.98, 0.0031304951685, 2.33486328366, 0.239726320854, 1.02),
+    (0.9785, 0.00324328151723, 2.57114516941, 0.210293366191, 1.01),
+    (0.9695, 0.00384511053157, 2.75004612166, 0.292020723971, 1.03),
+    (0.9785, 0.00324328151723, 2.82483612239, 0.247827247323, 1.01),
+    (0.9745, 0.00352489361542, 2.80882096129, 0.252642713733, 1.03),
+    (0.984, 0.00280570846668, 3.38184033707, 0.281266322489, 1.01),
+    (0.9855, 0.00267298989897, 2.49702268908, 0.195451530273, 1.04),
+    (0.981, 0.00305278561317, 2.69584560455, 0.235828254059, 1.0),
+    (0.9775, 0.00331615364542, 2.58666222858, 0.259781856397, 1.01),
+    (0.976, 0.00342227994179, 3.02167986242, 0.263112054049, 1.03),
+    (0.9445, 0.0051195580864, 4.82291676305, 0.461500133114, 1.09),
+    (0.97, 0.00381444622455, 3.30827632706, 0.272739032051, 1.01),
+    (0.9865, 0.00258047960658, 2.55378454881, 0.259359496964, 1.02),
+    (0.9815, 0.0030131171567, 2.71675466415, 0.242024282915, 1.02),
+    (0.981, 0.00305278561317, 2.54484138893, 0.227264446001, 1.03),
+    (0.7225, 0.010012336141, 27.210305965, 2.99303553103, 1.37),
+    (0.9425, 0.00520546587733, 4.97086222031, 0.432193230508, 1.1),
+    (0.977, 0.00335193973693, 2.93682024997, 0.262792142094, 1.0),
+    (0.9855, 0.00267298989897, 2.82646535305, 0.22424761923, 1.04),
+    (0.9845, 0.00276222283677, 3.34811984525, 0.325804408444, 1.06),
+]
+
+
+def test_stream_golden_values(tmp_path):
+    path = _write_config(tmp_path, default_config(num_miners=6))
+    sim, sweep = tmp_path / "sim.csv", tmp_path / "fig4.csv"
+    # two round chunks and two block chunks
+    simulate = ["simulate", path, "--trials", "5000", "--blocks", "300", "--out", str(sim)]
+    fig4 = ["sweep", "--preset", "fig4", "--trials", "2000", "--blocks", "100", "--out", str(sweep)]
+    assert cli.main(simulate) == 0
+    assert cli.main(fig4) == 0
+    row = _rows(sim.read_text())[1][0]
+    assert {c: float(row[c]) for c in STREAM_SIMULATE} == pytest.approx(STREAM_SIMULATE, rel=1e-9)
+    got = [tuple(float(r[c]) for c in STREAM_FIG4_COLUMNS) for r in _rows(sweep.read_text())[1]]
+    assert len(got) == len(STREAM_FIG4)
+    for values, pinned in zip(got, STREAM_FIG4):
+        assert values == pytest.approx(pinned, rel=1e-9)
+
+
 def test_simulate_single_miner_no_forks(tmp_path):
     path = _write_config(tmp_path, default_config(num_miners=1))
     out = tmp_path / "one.csv"

@@ -24,12 +24,34 @@ TWO_ATOMS = DiscreteLatency(atoms=(0.0, 50.0), weights=(0.5, 0.5))
 
 
 def _draws(rng, cfg, dist, count):
-    """Per-miner draws of ``count`` rounds, in the race kernel's draw order."""
-    d = derive(cfg.channel, cfg.miner)
+    """Per-miner draws of ``count`` rounds, in the race kernel's draw order:
+    standard exponentials, relocation counts, uplink and transmission latencies,
+    each of shape (miners, count) with the rightful winner in row 0."""
+    shape = (cfg.num_miners, count)
+    return (rng.standard_exponential(shape), *dist.draw(rng, shape))
+
+
+def _argmin_race(rng, cfg, d, dist, count):
+    """Reference race: the earlier kernel, which draws every miner's compute
+    time in (count, miners) arrays and finds the winner and the first ACK by
+    argmin (ties to the lowest index)."""
     shape = (count, cfg.num_miners)
     compute = -np.log(1.0 - rng.random(shape)) / d.compute_rate
-    moves, uplink, total = dist.draw(rng, shape)
-    return compute, moves, uplink, total, compute + total
+    moves, uplink, transmission = dist.draw(rng, shape)
+    arrival = compute + transmission
+    fastest = np.argmin(compute, axis=1)
+    rows = np.arange(count)
+    s_win = compute[rows, fastest]
+    move_win = moves[rows, fastest] * d.move_time_s
+    up_win = uplink[rows, fastest]
+    energy = (
+        cfg.miner.compute_power_w * s_win
+        + cfg.miner.mobility_power_w * move_win
+        + cfg.channel.tx_power_w * up_win
+    )
+    system = energy + (cfg.num_miners - 1) * cfg.miner.compute_power_w * arrival[rows, fastest]
+    forked = fastest != np.argmin(arrival, axis=1)
+    return forked, energy, s_win, move_win, up_win, system
 
 
 def test_single_miner_never_forks():
@@ -41,7 +63,8 @@ def test_single_miner_never_forks():
 
 def test_single_miner_block_is_one_round():
     cfg = default_config(num_miners=1)
-    rounds, energy, capped = _blocks(cfg, LatencyDistribution.from_config(cfg), 0, 300, 10_000)
+    d = derive(cfg.channel, cfg.miner)
+    rounds, energy, capped = _blocks(cfg, d, LatencyDistribution.from_config(cfg), 0, 300, 10_000)
     assert np.all(rounds == 1)
     assert not capped.any()
     assert np.all(energy > 0)
@@ -50,20 +73,37 @@ def test_single_miner_block_is_one_round():
 def test_equal_latency_hook_never_forks():
     cfg = default_config(num_miners=7)
     hook = DiscreteLatency.constant(0.21)
-    forked = _race(substream(cfg.rng_seed, 101), cfg, hook, 2000)[0]
+    forked = _race(substream(cfg.rng_seed, 101), cfg, derive(cfg.channel, cfg.miner), hook, 2000)[0]
     assert not forked.any()
     s = estimate(cfg, num_blocks=100, num_round_trials=2000, dist=hook)
     assert s.fork_rate.value == 0
     assert s.mean_rounds.value == 1
 
 
+def test_winner_keeps_an_exact_tie():
+    class ZeroLags:
+        """Every standard exponential is 0: each loser's ACK lands with the winner's."""
+
+        def standard_exponential(self, shape):
+            return np.zeros(shape)
+
+    class Constant:
+        def draw(self, rng, shape):
+            t = np.full(shape, 0.2)
+            return np.zeros(shape), t, t
+
+    cfg = default_config(num_miners=3)
+    forked = _race(ZeroLags(), cfg, derive(cfg.channel, cfg.miner), Constant(), 10)[0]
+    assert not forked.any()
+
+
 def test_round_sample_invariants():
     cfg = default_config(num_miners=9)
     dist = LatencyDistribution.from_config(cfg)
-    compute, moves, uplink, total, arrival = _draws(substream(3, 0), cfg, dist, 200)
-    assert np.all(compute >= 0)
+    exp, moves, uplink, total = _draws(substream(3, 0), cfg, dist, 200)
+    assert np.all(exp >= 0)
+    assert np.all((moves >= 0) & (moves == np.floor(moves)))
     assert np.all((uplink > 0) & (uplink <= dist.max_uplink))
-    assert np.all(arrival > compute)
     assert np.allclose(total, moves * dist.move_time + uplink)
 
 
@@ -73,23 +113,56 @@ def test_race_winner_energy_formula():
     d = derive(cfg.channel, cfg.miner)
     count = 500
     rng = substream(4, 0)
-    forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, dist, count)
+    forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, d, dist, count)
     after = substream(4, 0)
-    compute, moves, uplink, _, arrival = _draws(after, cfg, dist, count)
+    exp, moves, uplink, total = _draws(after, cfg, dist, count)
     assert rng.random() == after.random()  # the kernel made exactly the replayed draws
-    rows = np.arange(count)
-    i = np.argmin(compute, axis=1)
-    assert np.array_equal(forked, i != np.argmin(arrival, axis=1))
+    # the winner is row 0: the fastest of six computes for Exp(6 rate), and each
+    # loser for that time plus its own Exp(rate)
+    assert np.array_equal(forked, (exp[1:] / d.compute_rate + total[1:]).min(axis=0) < total[0])
     assert forked.any() and not forked.all()
-    assert np.array_equal(s_win, compute[rows, i])
-    assert np.array_equal(move_win, moves[rows, i] * d.move_time_s)
-    assert np.array_equal(up_win, uplink[rows, i])
+    assert np.array_equal(s_win, exp[0] / (6 * d.compute_rate))
+    assert np.array_equal(move_win, moves[0] * d.move_time_s)
+    assert np.array_equal(up_win, uplink[0])
     expected = (
-        cfg.miner.compute_power_w * compute[rows, i]
-        + cfg.miner.mobility_power_w * moves[rows, i] * d.move_time_s
-        + cfg.channel.tx_power_w * uplink[rows, i]
+        cfg.miner.compute_power_w * s_win
+        + cfg.miner.mobility_power_w * moves[0] * d.move_time_s
+        + cfg.channel.tx_power_w * uplink[0]
     )
     np.testing.assert_allclose(energy, expected, rtol=1e-12)
+
+
+_ORACLE_CASES = {
+    "I=1": (default_config(num_miners=1), None),
+    "I=2": (default_config(num_miners=2), None),
+    "I=20": (default_config(num_miners=20), None),
+    "wireless-only": (default_config(10, latency_model=LatencyModel.WIRELESS_ONLY), None),
+    "two-atoms": (default_config(num_miners=4), TWO_ATOMS),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_race_matches_argmin_reference(case):
+    # Each kernel races 100k rounds on its own stream. Fork rate, winner compute,
+    # move and uplink means and the system energy must agree within 5 SE of the
+    # difference: a false failure has probability below 3e-6 per case.
+    cfg, dist = _ORACLE_CASES[case]
+    d = derive(cfg.channel, cfg.miner)
+    dist = dist or LatencyDistribution.from_config(cfg)
+    chunks, count = 25, 4000
+    results = []
+    for stream, kernel in enumerate((_race, _argmin_race)):
+        rng = substream(2024, stream)
+        races = zip(*(kernel(rng, cfg, d, dist, count) for _ in range(chunks)))
+        values = [np.concatenate(v) for v in races]
+        del values[1]  # the winner energy is a sum of the three checked times
+        results.append([(v.mean(), v.std(ddof=1) / math.sqrt(v.size)) for v in values])
+    for name, (new, new_se), (ref, ref_se) in zip(
+        ("fork rate", "compute", "move", "uplink", "system energy"), *results
+    ):
+        assert abs(new - ref) <= 5 * math.hypot(new_se, ref_se), (case, name, new, ref)
+    if cfg.num_miners == 1:
+        assert results[0][0] == results[1][0] == (0.0, 0.0)  # a lone miner never forks
 
 
 def test_fork_rate_statistically_increases_with_miners():
@@ -111,11 +184,12 @@ def test_block_cap_flags_with_max_rounds_one():
 def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
     """The block substream judged one round at a time: (start round, rounds, energy, capped)."""
     rng = substream(cfg.rng_seed, 1, chunk_index)
+    d = derive(cfg.channel, cfg.miner)
     blocks = []
     start = rounds = position = 0
     energy = 0.0
     while len(blocks) < count:
-        forked, win_energy = _race(rng, cfg, dist, _rows(BLOCK_BATCH, cfg.num_miners))[:2]
+        forked, win_energy = _race(rng, cfg, d, dist, _rows(BLOCK_BATCH, cfg.num_miners))[:2]
         for f, e in zip(forked, win_energy):
             rounds += 1
             energy += e
@@ -136,14 +210,17 @@ class _WideLatency:
         return np.zeros(t.shape, dtype=np.int64), t, t
 
 
+# short-cap: a round forks with probability 7/16, so a batch boundary falls inside
+# a block with probability about 0.3; 6000 blocks span 16 boundaries.
 @pytest.mark.parametrize(
     "miners, dist, count, max_rounds",
-    [(4, TWO_ATOMS, 600, 2), (500, _WideLatency(), 12, 1100), (4096, TWO_ATOMS, 600, 2)],
+    [(4, TWO_ATOMS, 6000, 2), (500, _WideLatency(), 12, 1100), (4096, TWO_ATOMS, 600, 2)],
     ids=["short-cap", "long-blocks", "small-batch"],
 )
 def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
     cfg = default_config(num_miners=miners)
-    rounds, energy, capped = _blocks(cfg, dist, 3, count, max_rounds)
+    d = derive(cfg.channel, cfg.miner)
+    rounds, energy, capped = _blocks(cfg, d, dist, 3, count, max_rounds)
     expected = _round_loop_blocks(cfg, dist, 3, count, max_rounds)
     assert rounds.tolist() == [b[1] for b in expected]
     assert capped.tolist() == [b[3] for b in expected]
@@ -303,11 +380,12 @@ def test_system_energy_extension_metric():
     # the winner's ACK lands
     cfg = default_config(num_miners=6)
     dist = LatencyDistribution.from_config(cfg)
+    d = derive(cfg.channel, cfg.miner)
     count = 50
-    _, energy, *_, system = _race(substream(8, 0), cfg, dist, count)
-    compute, *_, arrival = _draws(substream(8, 0), cfg, dist, count)
-    i = np.argmin(compute, axis=1)
-    expected = energy + 5 * cfg.miner.compute_power_w * arrival[np.arange(count), i]
+    _, energy, s_win, *_, system = _race(substream(8, 0), cfg, d, dist, count)
+    exp, *_, total = _draws(substream(8, 0), cfg, dist, count)
+    assert np.array_equal(s_win, exp[0] / (6 * d.compute_rate))
+    expected = energy + 5 * cfg.miner.compute_power_w * (s_win + total[0])
     np.testing.assert_allclose(system, expected, rtol=1e-12)
     assert np.all(system > energy)
 
