@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
+from .channel import DiscreteLatency, LatencyDistribution, pn_tolerances, uplink_latency
 from .model import (
     AnalyticResult,
     LatencyModel,
@@ -165,8 +165,9 @@ class _PiecewiseCheb:
     """
 
     DEGREE = 32
+    MAX_PANELS = 4096
 
-    def __init__(self, f, a, b, coef_tol, max_panels=4096):
+    def __init__(self, f, a, b, coef_tol):
         scale = float(np.max(np.abs(np.asarray(f(np.linspace(a, b, 257)), dtype=float))))
         scale = max(scale, 1e-300)
         min_width = (b - a) * 2.0**-42
@@ -181,7 +182,7 @@ class _PiecewiseCheb:
             if float(mags[-4:].max()) <= coef_tol * scale or (hi - lo) <= min_width:
                 panels.append((lo, hi, series))
             else:
-                if len(panels) + len(stack) >= max_panels:
+                if len(panels) + len(stack) >= self.MAX_PANELS:
                     raise QuadratureError("piecewise fit exceeded the panel budget")
                 mid = 0.5 * (lo + hi)
                 stack.append((mid, hi))
@@ -339,13 +340,13 @@ class _SurvivalEvaluator:
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
 
-    def mixture_power_sum(self, u, power: int, n_max: int, floor: float):
+    def mixture_power_sum(self, u, power: int, floor: float):
         """sum_{m=0}^{n_max} p (1-p)^m q(u + m move_time)^power for lags u in (0, max_up].
 
         Returns (sums, skipped). The walk gives q(u + m move_time) while
         u + m move_time < max_up, the closed form past that window; those
-        counts are summed in blocks until the terms left are below ``floor``.
-        ``skipped`` bounds the sum of the terms left out.
+        counts, up to the law's n_max, are summed in blocks until the terms
+        left are below ``floor``. ``skipped`` bounds the sum of the terms left out.
         """
         u = np.asarray(u, dtype=float)
         if not self.relocates:
@@ -354,17 +355,17 @@ class _SurvivalEvaluator:
         out = np.empty(u.shape)
         skipped = 0.0
         d = self.dist
-        width = self._window + min(n_max, math.ceil(d.max_uplink / d.move_time)) + 1
+        width = self._window + min(d.n_max, math.ceil(d.max_uplink / d.move_time)) + 1
         rows = max(1, _BLOCK // width)
         for start in range(0, len(u), rows):
             pick = order[start : start + rows]
-            out[pick], cut = self._mixture_block(u[pick], power, n_max, floor)
+            out[pick], cut = self._mixture_block(u[pick], power, floor)
             skipped = max(skipped, cut)
         return out, skipped
 
-    def _mixture_block(self, u, power, n_max, floor):
+    def _mixture_block(self, u, power, floor):
         d = self.dist
-        p, tm, hi = d.success_prob, d.move_time, d.max_uplink
+        p, tm, hi, n_max = d.success_prob, d.move_time, d.max_uplink, d.n_max
         stay, log_stay = 1.0 - p, self._log_stay
         last = min(n_max, max(0, math.ceil((hi - float(u[0])) / tm) - 1))
         total = np.zeros(u.shape)
@@ -386,13 +387,13 @@ class _SurvivalEvaluator:
                 return total, rest
         return total, 0.0
 
-    def kinks(self, n_max: int):
+    def kinks(self):
         """Lags u in (0, max_up) where some q(u + m move_time), m <= n_max,
         jumps in its second derivative: u = max_up - k move_time."""
         if not self.relocates:
             return []
         d = self.dist
-        count = min(n_max, math.floor(d.max_uplink / d.move_time))
+        count = min(d.n_max, math.floor(d.max_uplink / d.move_time))
         return [d.max_uplink - k * d.move_time for k in range(1, count + 1)]
 
 
@@ -427,25 +428,23 @@ def survival_prob(t_star, dist, compute_rate: float | None = None):
 # --- no-forking probability ----------------------------------------------
 
 
-def _pn_attempt(dist, num_miners, rate, tol, eps_comp, inner_tol):
+def _pn_attempt(dist, num_miners, rate, tol, eps_comp, floor, inner_tol):
     ev = _evaluator(dist, rate, inner_tol)
     lo = dist.max_uplink * 1e-12
     hi = dist.max_uplink
     power = num_miners - 1
-    n_max = dist.n_max
-    floor = 1e-3 * eps_comp
     skipped = 0.0
 
     def integrand(u):
         nonlocal skipped
-        sums, cut = ev.mixture_power_sum(u, power, n_max, floor)
+        sums, cut = ev.mixture_power_sum(u, power, floor)
         skipped = max(skipped, cut)
         return dist.uplink_pdf(u) * sums
 
     value, quad_err = integrate_adaptive(
-        integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, points=ev.kinks(n_max)
+        integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, points=ev.kinks()
     )
-    tail = (1.0 - dist.success_prob) ** (n_max + 1) if ev.relocates else 0.0
+    tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if ev.relocates else 0.0
     err_est = quad_err + tail + skipped + power * ev.error + float(dist.uplink_cdf(lo))
     return value, err_est
 
@@ -476,13 +475,13 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
 
     tol = config.quadrature_tol
     inner = max(1e-13, 1e-3 * tol)
-    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol, inner)
+    value, err = _pn_attempt(dist, num, rate, tol, *pn_tolerances(tol, 1.0), inner)
     if err <= tol * value:
         return value, err
     # refine against the measured magnitude (matters when p_n is small)
     scale = max(value, 1e-300)
     inner2 = max(1e-14, 1e-3 * tol * scale)
-    value, err = _pn_attempt(dist, num, rate, tol, 0.1 * tol * scale, inner2)
+    value, err = _pn_attempt(dist, num, rate, tol, *pn_tolerances(tol, scale), inner2)
     if err <= tol * value:
         return value, err
     raise QuadratureError(

@@ -68,22 +68,28 @@ def uplink_latency(snr, ack_bits: float, bandwidth_hz: float, out=None):
     return np.divide(ack_bits * _LN2 / bandwidth_hz, log, out=out)
 
 
+def pn_tolerances(quadrature_tol: float, scale: float) -> tuple[float, float]:
+    """(absolute tolerance, mixture floor) of a p_n pass at p_n magnitude ``scale``:
+    0.1 * quadrature_tol * scale, and 1e-3 of that. Mixture terms below the floor
+    are dropped; a law's depth n_max is sized to the first pass's (``scale`` 1)."""
+    abs_tol = 0.1 * quadrature_tol * scale
+    return abs_tol, 1e-3 * abs_tol
+
+
 def _truncation_depth(success_prob: float, tail_mass: float) -> int:
-    """Smallest n with (1 - p)^(n + 1) <= tail_mass."""
+    """Smallest n with (1 - p)^(n + 1) <= tail_mass, in closed form."""
     if success_prob >= 1.0:
         return 0
-    n = max(0, math.ceil(math.log(tail_mass) / math.log1p(-success_prob)) - 1)
-    while (1.0 - success_prob) ** (n + 1) > tail_mass:
-        n += 1
-    if n > MIXTURE_DEPTH_CAP:
+    components = math.log(tail_mass) / math.log1p(-success_prob)  # n + 1 before rounding up
+    if components > MIXTURE_DEPTH_CAP + 1:  # checked in float: a subnormal p gives inf
         raise ConfigError(
             [
-                f"relocation mixture needs {n} components for tail mass {tail_mass:g}; "
-                "the location success probability is impractically small "
-                "(lower snr_threshold_db or raise tx_power_w)"
+                f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components for tail "
+                f"mass {tail_mass:g}; the location success probability {success_prob:.3g} is "
+                "impractically small (lower snr_threshold_db or raise tx_power_w)"
             ]
         )
-    return n
+    return math.ceil(components) - 1
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,7 @@ class LatencyDistribution:
     variant: LatencyModel
     max_uplink: float
     success_prob: float
-    n_max: int
-    truncation: float
+    n_max: int  # mixture depth, sized from quadrature_tol by pn_tolerances
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "LatencyDistribution":
@@ -120,7 +125,7 @@ class LatencyDistribution:
             )
         n_max = 0
         if config.latency_model is LatencyModel.TOTAL:
-            n_max = _truncation_depth(d.success_prob, config.mixture_truncation)
+            n_max = _truncation_depth(d.success_prob, pn_tolerances(config.quadrature_tol, 1.0)[1])
         return cls(
             snr_rate=d.snr_rate,
             snr_threshold=config.channel.snr_threshold,
@@ -132,7 +137,6 @@ class LatencyDistribution:
             max_uplink=d.max_uplink_s,
             success_prob=d.success_prob,
             n_max=n_max,
-            truncation=config.mixture_truncation,
         )
 
     # -- uplink marginal ------------------------------------------------

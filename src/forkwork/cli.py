@@ -32,7 +32,7 @@ from .model import (
     parse_flat_text,
     parse_value,
 )
-from .simulator import MIN_TRIALS, SimulationSummary, estimate
+from .simulator import DEFAULT_BLOCKS, DEFAULT_ROUND_TRIALS, MIN_TRIALS, SimulationSummary, estimate
 
 __all__ = ["main", "parse_sweep_text", "preset_jobs", "PRESETS"]
 
@@ -106,8 +106,8 @@ def parse_sweep_text(text: str) -> tuple[list[tuple[str, object, SystemConfig]],
     values = config_values(seen)
     points = [parse_value(param, v.strip()) for v in seen["sweep_values"].split(",")]
     try:
-        round_trials = int(seen.get("round_trials", "100000"))
-        block_trials = int(seen.get("block_trials", "2000"))
+        round_trials = int(seen.get("round_trials", DEFAULT_ROUND_TRIALS))
+        block_trials = int(seen.get("block_trials", DEFAULT_BLOCKS))
     except ValueError:
         raise ConfigError(["round_trials and block_trials must be integers"]) from None
     if any(b <= a for a, b in zip(points, points[1:])):
@@ -192,7 +192,7 @@ def _simulate_row(summary: SimulationSummary) -> str:
         summary.capped_blocks,
         summary.round_trials,
         summary.block_trials,
-        summary.seed,
+        summary.config.rng_seed,
         config_digest(summary.config),
     ]
     return ",".join(_fmt(c) for c in cells)
@@ -222,7 +222,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.preset is not None:
-        jobs, round_trials, block_trials = preset_jobs(args.preset), 100_000, 2_000
+        jobs = preset_jobs(args.preset)
+        round_trials, block_trials = DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS
     else:
         jobs, round_trials, block_trials = parse_sweep_text(Path(args.spec).read_text())
     round_trials = args.trials if args.trials is not None else round_trials
@@ -309,6 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="forkwork", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     trials, seed, workers = _int_in(MIN_TRIALS), _int_in(0, 2**64), _int_in(1)
+    rounds, blocks = DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS
 
     p_analytic = sub.add_parser("analytic", help="closed-form/quadrature metrics for one config")
     p_analytic.add_argument("config", help="path to a flat key=value config file")
@@ -317,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimates for one config")
     p_sim.add_argument("config", help="path to a flat key=value config file")
-    p_sim.add_argument("--trials", type=trials, default=100_000, help="independent PoW rounds")
-    p_sim.add_argument("--blocks", type=trials, default=2_000, help="independent block recoveries")
+    p_sim.add_argument("--trials", type=trials, default=rounds, help="independent PoW rounds")
+    p_sim.add_argument("--blocks", type=trials, default=blocks, help="independent block recoveries")
     p_sim.add_argument("--seed", type=seed, default=None, help="override the config rng_seed")
     p_sim.add_argument("--workers", type=workers, default=1, help="worker processes")
     p_sim.add_argument("--out", default="-", help="CSV destination (default stdout)")

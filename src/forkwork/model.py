@@ -100,7 +100,6 @@ class SystemConfig:
     miner: MinerParams
     latency_model: LatencyModel = LatencyModel.TOTAL
     rng_seed: int = 42
-    mixture_truncation: float = 1e-12  # tail mass dropped from the relocation mixture
     quadrature_tol: float = 1e-8  # relative tolerance of analytic integrals
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class SystemConfig:
             errors.append("latency_model must be 'total' or 'wireless_only'")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
             errors.append("rng_seed must be an integer in [0, 2^64)")
-        if not 0.0 < self.mixture_truncation < 1.0:
-            errors.append("mixture_truncation must be in (0, 1)")
         if not 0.0 < self.quadrature_tol < 1e-2:
             errors.append("quadrature_tol must be in (0, 1e-2)")
 

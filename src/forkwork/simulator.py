@@ -39,6 +39,8 @@ ROUND_CHUNK = 4096
 BLOCK_CHUNK = 256
 BLOCK_BATCH = 512  # rounds drawn per batch on a block substream
 MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
+DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
+MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
 _ROUND_STREAM = 0
 _BLOCK_STREAM = 1
 
@@ -68,7 +70,6 @@ class SimulationSummary:
     round_trials: int
     block_trials: int
     capped_blocks: int
-    seed: int
     config: SystemConfig
 
 
@@ -165,8 +166,8 @@ def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rou
     return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
 
 
-def _block_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rounds: int):
-    rounds, energy, capped = _blocks(config, d, dist, chunk_index, count, max_rounds)
+def _block_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int):
+    rounds, energy, capped = _blocks(config, d, dist, chunk_index, count, MAX_ROUNDS)
     rounds = rounds.astype(float)
     return (
         count,
@@ -224,10 +225,9 @@ def _run_tasks(fn, arg_lists, workers: int):
 
 def estimate(
     config: SystemConfig,
-    num_blocks: int = 2_000,
-    num_round_trials: int = 100_000,
+    num_blocks: int = DEFAULT_BLOCKS,
+    num_round_trials: int = DEFAULT_ROUND_TRIALS,
     *,
-    max_rounds: int = 10_000,
     workers: int = 1,
     dist=None,
 ) -> SimulationSummary:
@@ -239,8 +239,6 @@ def estimate(
     """
     if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     d = derive(config.channel, config.miner)
     if dist is None:
         dist = LatencyDistribution.from_config(config)
@@ -259,7 +257,7 @@ def estimate(
     sizes_b = _chunk_sizes(num_blocks, BLOCK_CHUNK)
     parts_b = _run_tasks(
         _block_chunk,
-        (repeat(config), repeat(d), repeat(dist), range(len(sizes_b)), sizes_b, repeat(max_rounds)),
+        (repeat(config), repeat(d), repeat(dist), range(len(sizes_b)), sizes_b),
         workers,
     )
     totals_b = [sum(p[i] for p in parts_b) for i in range(6)]
@@ -277,6 +275,5 @@ def estimate(
         round_trials=n,
         block_trials=nb,
         capped_blocks=int(totals_b[5]),
-        seed=config.rng_seed,
         config=config,
     )

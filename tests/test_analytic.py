@@ -212,7 +212,7 @@ def test_mixture_power_sum_matches_component_loop():
     m = np.arange(d.n_max + 1)
     q = _component_loop_q(ev, d, u + d.move_time * m[:, None])  # row m: q(u + m move_time)
     ref = (p * (1.0 - p) ** m) @ q**power
-    sums, skipped = ev.mixture_power_sum(u, power, d.n_max, 1e-15)
+    sums, skipped = ev.mixture_power_sum(u, power, 1e-15)
     assert skipped <= 1e-15
     assert np.max(np.abs(sums - ref)) <= 1e-13 + skipped
 
@@ -328,7 +328,7 @@ def test_no_fork_error_estimate_invariant():
 )
 def test_no_fork_error_estimate_bounds_true_error(cfg):
     p, err = no_forking_probability(cfg)
-    tight = replace(cfg, quadrature_tol=1e-11, mixture_truncation=1e-15)
+    tight = replace(cfg, quadrature_tol=1e-11)  # mixture depth sized to tail mass 1e-15
     p_ref, ref_err = no_forking_probability(tight)
     assert abs(p - p_ref) <= err + ref_err
     assert err <= cfg.quadrature_tol * p

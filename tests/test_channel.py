@@ -10,6 +10,7 @@ from scipy import stats
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
+    pn_tolerances,
     substream,
     uplink_latency,
 )
@@ -17,6 +18,7 @@ from forkwork.model import ConfigError, LatencyModel, default_config, derive
 from forkwork.simulator import _race
 
 RATE = 0.32  # default compute rate
+TAIL = pn_tolerances(default_config().quadrature_tol, 1.0)[1]  # mixture mass past the default n_max
 
 
 def _dist(**overrides) -> LatencyDistribution:
@@ -37,7 +39,7 @@ def _snr(d, uplink):
 
 
 def mixture_weights(d) -> np.ndarray:
-    """Truncated geometric weights of the relocation count (sums to >= 1 - truncation)."""
+    """Truncated geometric weights of the relocation count (sums to >= 1 - TAIL by default)."""
     if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
         return np.array([1.0])
     return d.success_prob * (1.0 - d.success_prob) ** np.arange(d.n_max + 1)
@@ -218,8 +220,8 @@ def test_uplink_sampler_matches_cdf():
 def test_mixture_tail_mass_bound():
     d = _dist()
     p = d.success_prob
-    assert (1 - p) ** (d.n_max + 1) <= d.truncation
-    assert mixture_weights(d).sum() >= 1 - d.truncation
+    assert (1 - p) ** (d.n_max + 1) <= TAIL < (1 - p) ** d.n_max  # the smallest such depth
+    assert mixture_weights(d).sum() >= 1 - TAIL
 
 
 def test_mixture_depth_cap():
@@ -239,7 +241,7 @@ def test_total_cdf_support():
     assert total_cdf(d, -0.5) == 0.0
     assert total_cdf(d, 0.0) == 0.0
     top = d.n_max * d.move_time + d.max_uplink
-    assert total_cdf(d, top) >= 1 - d.truncation
+    assert total_cdf(d, top) >= 1 - TAIL
 
 
 def test_total_cdf_monotone():

@@ -1,16 +1,35 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from forkwork import cli
 from forkwork.analytic import QuadratureError
-from forkwork.model import SystemConfig, config_text, default_config
+from forkwork.channel import MIXTURE_DEPTH_CAP
+from forkwork.model import SystemConfig, config_text, default_channel, default_config, mean_snr
 
 
 def _write_config(tmp_path, cfg=None, name="config.txt"):
     path = tmp_path / name
     path.write_text(config_text(cfg or default_config()))
     return str(path)
+
+
+def _cli_in_child(args, timeout=60):
+    """The CLI run in a child process, so that a hang fails the test instead of stalling it."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    code = "import sys; from forkwork.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def _rows(csv_text):
@@ -132,6 +151,22 @@ def test_law_construction_error_exit_code(tmp_path, capsys, command, snr_fractio
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "row.csv").exists()
+
+
+# thresholds at f x the mean SNR, past the depth cap, up to a subnormal success
+# probability at f = 720: the depth is compared with the cap before it is rounded,
+# so none of them may hang (the child's timeout) or overflow (a traceback)
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("snr_fraction", [25.0, 29.0, 40.0, 100.0, 720.0])
+def test_mixture_depth_cap_is_config_error(tmp_path, command, snr_fraction):
+    path = _write_config(tmp_path, default_config(snr_fraction=snr_fraction))
+    out = tmp_path / "row.csv"
+    done = _cli_in_child([command, path, "--out", str(out)])
+    assert done.returncode == 1, done.stderr
+    cap = f"config error: relocation mixture needs more than {MIXTURE_DEPTH_CAP} components"
+    assert done.stderr.startswith(cap)
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -481,6 +516,29 @@ def test_sweep_point_failure_warns_and_continues(tmp_path):
     sidecar = tmp_path / "partial.csv.warnings"
     assert sidecar.exists()
     assert "snr_threshold_db=250" in sidecar.read_text()
+
+
+def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
+    link_snr = mean_snr(default_channel())
+    good_db, bad_db = (10 * math.log10(f * link_snr) for f in (1.0, 720.0))
+    spec = _sweep_file(
+        tmp_path,
+        "sweep_param = snr_threshold_db\n"
+        f"sweep_values = {good_db!r}, {bad_db!r}\n"
+        "round_trials = 1000\nblock_trials = 100\n",
+    )
+    out = tmp_path / "mixed.csv"
+    done = _cli_in_child(["sweep", spec, "--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    _, rows = _rows(out.read_text())
+    labels = ("param", "value", "seed", "config_hash")
+    metrics = [c for c in cli.SWEEP_COLUMNS.split(",") if c not in labels]
+    assert len(rows) == 2
+    assert all(rows[0][c] != "" for c in metrics)
+    assert all(rows[1][c] == "" for c in metrics)
+    warnings = (tmp_path / "mixed.csv.warnings").read_text()
+    assert warnings.count("relocation mixture needs") == 2  # the analytic and the simulation
 
 
 def test_sweep_without_warnings_removes_stale_sidecar(tmp_path):

@@ -126,7 +126,7 @@ def test_validate_aggregates_everything():
 
 def test_validate_tolerances():
     cfg = default_config()
-    for change in ({"quadrature_tol": 0.5}, {"mixture_truncation": 0.0}, {"rng_seed": -1}):
+    for change in ({"quadrature_tol": 0.5}, {"rng_seed": -1}):
         with pytest.raises(ConfigError) as exc:
             replace(cfg, **change)
         assert exc.value.errors
@@ -224,9 +224,8 @@ def test_config_digest_covers_tolerances():
     digests = {
         config_digest(base),
         config_digest(replace(base, quadrature_tol=1e-11)),
-        config_digest(replace(base, mixture_truncation=1e-15)),
     }
-    assert len(digests) == 3
+    assert len(digests) == 2
 
 
 def _bumped(obj, name):
@@ -250,7 +249,7 @@ def test_config_digest_covers_every_field_exactly():
     for f in fields(base):
         value = getattr(base, f.name)
         names += [f"{f.name}.{g.name}" for g in fields(value)] if is_dataclass(value) else [f.name]
-    assert len(names) == 16
+    assert len(names) == 15
     digests = {config_digest(_bumped(base, name)) for name in names}
     assert len(digests) == len(names) and config_digest(base) not in digests
     # a file round trip moves the linear threshold by a few ulps: a different config

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forkwork import simulator
 from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config, derive
@@ -174,9 +175,10 @@ def test_fork_rate_statistically_increases_with_miners():
     assert rates[0] < rates[1] < rates[2]
 
 
-def test_block_cap_flags_with_max_rounds_one():
+def test_block_cap_flags_with_max_rounds_one(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_ROUNDS", 1)  # read by the block chunks, at one worker
     cfg = default_config(num_miners=4)
-    s = estimate(cfg, num_blocks=100, num_round_trials=100, max_rounds=1, dist=TWO_ATOMS)
+    s = estimate(cfg, num_blocks=100, num_round_trials=100, workers=1, dist=TWO_ATOMS)
     assert s.mean_rounds.value == 1
     assert 0 < s.capped_blocks < s.block_trials  # forks happen with this hook, but not always
 
@@ -396,7 +398,7 @@ def test_system_energy_extension_metric():
 def test_summary_echoes_config_and_seed():
     cfg = default_config(num_miners=3, rng_seed=77)
     s = estimate(cfg, num_blocks=100, num_round_trials=500)
-    assert s.seed == 77
+    assert s.config.rng_seed == 77
     assert s.config == cfg
     assert s.round_trials == 500
     assert s.block_trials == 100
