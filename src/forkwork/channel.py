@@ -126,6 +126,13 @@ class LatencyDistribution:
         n_max = 0
         if config.latency_model is LatencyModel.TOTAL:
             n_max = _truncation_depth(d.success_prob, pn_tolerances(config.quadrature_tol, 1.0)[1])
+        if not math.isfinite((1.0 - d.success_prob) / d.success_prob):  # a subnormal p
+            raise ConfigError(
+                [
+                    f"mean relocation count (1 - p) / p overflows at location success "
+                    f"probability {d.success_prob:.3g} (lower snr_threshold_db or raise tx_power_w)"
+                ]
+            )
         return cls(
             snr_rate=d.snr_rate,
             snr_threshold=config.channel.snr_threshold,

@@ -31,13 +31,11 @@ __all__ = [
     "estimate",
     "ROUND_CHUNK",
     "BLOCK_CHUNK",
-    "BLOCK_BATCH",
     "MIN_TRIALS",
 ]
 
 ROUND_CHUNK = 4096
 BLOCK_CHUNK = 256
-BLOCK_BATCH = 512  # rounds drawn per batch on a block substream
 MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
 DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
 MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
@@ -76,34 +74,46 @@ class SimulationSummary:
 def _race(rng: np.random.Generator, config: SystemConfig, d, dist, count: int):
     """Race ``count`` independent rounds in one batch; ``d`` is ``config``'s ``derive``.
 
-    Draw order: standard exponentials E of shape (miners, count), then
-    ``dist.draw`` of that shape. The miners are i.i.d., so the rightful winner
-    (the fastest computer) is raced as miner 0: the fastest of I compute times
-    is Exp(I rate), drawn as E[0] / (I rate), its index is uniform and
-    independent of it, and by memorylessness each loser computes for that time
-    plus its own E / rate. A round forks when some loser's E / rate plus its
-    transmission latency is below the winner's; the winner keeps an exact tie
-    (probability zero). Returns per-round arrays: forked, winner energy, winner
-    compute, move and uplink times, and the system energy, an extension metric:
-    the winner's energy plus each loser's compute power until the winner's ACK
-    lands, outside the analytic cross-checks."""
-    miners = config.num_miners
-    exp = rng.standard_exponential((miners, count))
-    moves, uplink, transmission = dist.draw(rng, (miners, count))
+    The miners are i.i.d., so the rightful winner (the fastest computer) is raced
+    alone: the fastest of I compute times is Exp(I rate), and by memorylessness
+    each loser computes for that time plus its own lag ~ Exp(rate). A loser can
+    fork the round only if its lag plus its transmission latency is below the
+    winner's transmission latency t*, so only the losers with lag < t*, the
+    candidates, are drawn: each loser is one with probability
+    reach = 1 - exp(-rate t*), and a candidate's lag is Exp(rate) truncated to
+    [0, t*), drawn by inversion, independent of its latency. This is exact.
 
-    s_win = exp[0] / (miners * d.compute_rate)
-    move_win = moves[0] * d.move_time_s
-    up_win = uplink[0]
+    Draw order: ``standard_exponential(count)`` for the winner's compute time,
+    ``dist.draw(rng, count)`` for its latencies, ``binomial(I - 1, reach)`` for
+    the candidate counts K, ``random(sum K)`` for the candidates' lags
+    -log1p(-U reach) / rate, then ``dist.draw(rng, sum K)``, the candidates in
+    round order. A round forks when some candidate's lag plus transmission is
+    below t*; the winner keeps an exact tie. Returns per-round arrays: forked,
+    winner energy, winner compute, move and uplink times, and the system energy,
+    an extension metric: the winner's energy plus each loser's compute power
+    until the winner's ACK lands, outside the analytic cross-checks."""
+    miners, rate = config.num_miners, d.compute_rate
+    s_win = rng.standard_exponential(count) / (miners * rate)
+    moves, up_win, t_win = dist.draw(rng, count)
+    move_win = moves * d.move_time_s
     energy = (
         config.miner.compute_power_w * s_win
         + config.miner.mobility_power_w * move_win
         + config.channel.tx_power_w * up_win
     )
-    system = energy + (miners - 1) * config.miner.compute_power_w * (s_win + transmission[0])
-    lag = exp[1:]  # a loser's compute time past the winner's, plus its transmission
-    lag /= d.compute_rate
-    lag += transmission[1:]
-    forked = lag.min(axis=0, initial=np.inf) < transmission[0]
+    system = energy + (miners - 1) * config.miner.compute_power_w * (s_win + t_win)
+    reach = -np.expm1(-rate * t_win)
+    candidates = rng.binomial(miners - 1, reach)
+    lag = rng.random(int(candidates.sum()))  # in place below
+    lag *= np.repeat(reach, candidates)
+    np.log1p(np.negative(lag, out=lag), out=lag)
+    lag /= -rate
+    lag += dist.draw(rng, lag.size)[2]
+    # candidates that beat t*, counted per round by a cumulative sum over the segments
+    hits = np.zeros(lag.size + 1, dtype=np.int64)
+    np.cumsum(lag < np.repeat(t_win, candidates), out=hits[1:])
+    ends = np.cumsum(candidates)
+    forked = hits[ends] > hits[ends - candidates]
     return forked, energy, s_win, move_win, up_win, system
 
 
@@ -132,16 +142,22 @@ def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rou
     A block races rounds until one commits without forking, or until
     ``max_rounds`` rounds have all forked (a capped block, flagged, never
     silent); every round's winner energy counts, the committing one too.
-    Rounds are i.i.d., so the chunk draws one round stream in batches of
-    _rows(BLOCK_BATCH) from its substream and cuts it into blocks; the open
-    block carries over to the next batch. Rounds after the last block are unused.
+    Rounds are i.i.d., so the chunk draws one round stream in batches from its
+    substream and cuts it into blocks; the open block carries over to the next
+    batch. A batch is the blocks still needed times the rounds drawn per block
+    so far (at least 1), floor 64, cut by _rows: the first one is ``count``
+    rounds, since a block takes at least one. The sizes follow from the
+    substream alone, so they are the same for every worker count. Rounds after
+    the last block are unused.
     """
     rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
-    batch = _rows(BLOCK_BATCH, config.num_miners)
-    index = np.arange(1, batch + 1)
     rounds, energy, capped = [], [], []
-    open_rounds, open_energy, done = 0, 0.0, 0
+    open_rounds, open_energy, done, drawn = 0, 0.0, 0, 0
     while done < count:
+        per_block = max(1, drawn / max(done, 1))
+        batch = _rows(max(64, math.ceil((count - done) * per_block)), config.num_miners)
+        drawn += batch
+        index = np.arange(1, batch + 1)
         forked, win_energy = _race(rng, config, d, dist, batch)[:2]
         # rounds since the last commit, the open block's included; a run of
         # forks is cut into capped blocks at every multiple of max_rounds

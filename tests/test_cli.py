@@ -9,7 +9,14 @@ import pytest
 from forkwork import cli
 from forkwork.analytic import QuadratureError
 from forkwork.channel import MIXTURE_DEPTH_CAP
-from forkwork.model import SystemConfig, config_text, default_channel, default_config, mean_snr
+from forkwork.model import (
+    LatencyModel,
+    SystemConfig,
+    config_text,
+    default_channel,
+    default_config,
+    mean_snr,
+)
 
 
 def _write_config(tmp_path, cfg=None, name="config.txt"):
@@ -169,6 +176,27 @@ def test_mixture_depth_cap_is_config_error(tmp_path, command, snr_fraction):
     assert not out.exists()
 
 
+# wireless-only draws relocations too: at f = 720 the success probability is
+# subnormal, so the mean relocation count overflows and every mobility mean is inf
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+@pytest.mark.parametrize("snr_fraction, code", [(40.0, 0), (720.0, 1)])
+def test_wireless_only_subnormal_success_is_config_error(tmp_path, command, snr_fraction, code):
+    cfg = default_config(snr_fraction=snr_fraction, latency_model=LatencyModel.WIRELESS_ONLY)
+    out = tmp_path / "row.csv"
+    args = [command, _write_config(tmp_path, cfg), "--out", str(out)]
+    if command == "simulate":
+        args += ["--trials", "1000", "--blocks", "100"]
+    done = _cli_in_child(args)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code:
+        assert done.stderr.startswith("config error: mean relocation count")
+        assert not out.exists()
+    else:
+        row = _rows(out.read_text())[1][0]
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "config_hash")
+
+
 @pytest.mark.parametrize(
     "command, key, value, named",
     [
@@ -227,34 +255,34 @@ def test_simulate_worker_count_does_not_change_bytes(tmp_path):
 # libm or SIMD path; it must update them and name the columns whose bytes
 # moved in CHANGES.md. The analytic columns are not pinned here.
 STREAM_SIMULATE = {
-    "fork_rate": 0.015, "p_n": 0.985, "p_n_se": 0.00171901134377,
-    "rounds_mean": 1.01, "rounds_se": 0.00575416091998,
-    "energy_mean": 5.25921771181, "energy_se": 0.246737988129,
-    "s_mean": 0.512240830642, "tm_mean": 0.010715, "tu_mean": 0.239032182038,
-    "system_energy_mean": 35.1371003705, "capped_blocks": 0.0,
+    "fork_rate": 0.0136, "p_n": 0.9864, "p_n_se": 0.00163798901095,
+    "rounds_mean": 1.01333333333, "rounds_se": 0.00663313753541,
+    "energy_mean": 5.33486129147, "energy_se": 0.253207623368,
+    "s_mean": 0.512240830642, "tm_mean": 0.01051375, "tu_mean": 0.239002748306,
+    "system_energy_mean": 35.1178075779, "capped_blocks": 0.0,
 }
 STREAM_FIG4_COLUMNS = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
 STREAM_FIG4 = [
-    (0.98, 0.0031304951685, 2.33486328366, 0.239726320854, 1.02),
-    (0.9785, 0.00324328151723, 2.57114516941, 0.210293366191, 1.01),
-    (0.9695, 0.00384511053157, 2.75004612166, 0.292020723971, 1.03),
-    (0.9785, 0.00324328151723, 2.82483612239, 0.247827247323, 1.01),
-    (0.9745, 0.00352489361542, 2.80882096129, 0.252642713733, 1.03),
-    (0.984, 0.00280570846668, 3.38184033707, 0.281266322489, 1.01),
-    (0.9855, 0.00267298989897, 2.49702268908, 0.195451530273, 1.04),
-    (0.981, 0.00305278561317, 2.69584560455, 0.235828254059, 1.0),
-    (0.9775, 0.00331615364542, 2.58666222858, 0.259781856397, 1.01),
-    (0.976, 0.00342227994179, 3.02167986242, 0.263112054049, 1.03),
-    (0.9445, 0.0051195580864, 4.82291676305, 0.461500133114, 1.09),
-    (0.97, 0.00381444622455, 3.30827632706, 0.272739032051, 1.01),
-    (0.9865, 0.00258047960658, 2.55378454881, 0.259359496964, 1.02),
-    (0.9815, 0.0030131171567, 2.71675466415, 0.242024282915, 1.02),
-    (0.981, 0.00305278561317, 2.54484138893, 0.227264446001, 1.03),
-    (0.7225, 0.010012336141, 27.210305965, 2.99303553103, 1.37),
-    (0.9425, 0.00520546587733, 4.97086222031, 0.432193230508, 1.1),
-    (0.977, 0.00335193973693, 2.93682024997, 0.262792142094, 1.0),
-    (0.9855, 0.00267298989897, 2.82646535305, 0.22424761923, 1.04),
-    (0.9845, 0.00276222283677, 3.34811984525, 0.325804408444, 1.06),
+    (0.9805, 0.00309190475274, 2.29764212778, 0.228788019451, 1.02),
+    (0.981, 0.00305278561317, 2.71355499601, 0.256275318043, 1.04),
+    (0.978, 0.00327993902382, 2.74412404511, 0.276070830278, 1.01),
+    (0.976, 0.00342227994179, 2.87670407677, 0.248285043868, 1.01),
+    (0.9825, 0.00293204280323, 2.78038241316, 0.259807932527, 1.01),
+    (0.9795, 0.00316857617866, 3.20393549699, 0.281125473647, 1.01),
+    (0.9775, 0.00331615364542, 2.59432877381, 0.205786416894, 1.06),
+    (0.979, 0.00320616593457, 2.71310486138, 0.24187253229, 1.02),
+    (0.979, 0.00320616593457, 2.63332784211, 0.25923248438, 1.01),
+    (0.9805, 0.00309190475274, 3.08045658309, 0.273137140495, 1.04),
+    (0.941, 0.00526872849936, 4.37283403559, 0.409469019026, 1.06),
+    (0.9775, 0.00331615364542, 3.24183238005, 0.256502401333, 1.0),
+    (0.9825, 0.00293204280323, 2.59890788388, 0.237933383154, 1.03),
+    (0.986, 0.00262716577322, 2.78399477604, 0.243585457325, 1.02),
+    (0.977, 0.00335193973693, 2.61747104317, 0.230181242001, 1.04),
+    (0.73, 0.00992723526466, 24.2541424134, 3.1689190221, 1.36),
+    (0.9445, 0.0051195580864, 4.69904695351, 0.350982902193, 1.06),
+    (0.9795, 0.00316857617866, 3.00175058329, 0.262147751664, 1.02),
+    (0.985, 0.00271799558499, 2.59471001404, 0.200964605633, 1.0),
+    (0.9855, 0.00267298989897, 3.21330908062, 0.313309974284, 1.03),
 ]
 
 

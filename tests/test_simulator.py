@@ -12,7 +12,6 @@ from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config, derive
 from forkwork.simulator import (
-    BLOCK_BATCH,
     BLOCK_CHUNK,
     ROUND_CHUNK,
     _blocks,
@@ -24,12 +23,18 @@ from forkwork.simulator import (
 TWO_ATOMS = DiscreteLatency(atoms=(0.0, 50.0), weights=(0.5, 0.5))
 
 
-def _draws(rng, cfg, dist, count):
-    """Per-miner draws of ``count`` rounds, in the race kernel's draw order:
-    standard exponentials, relocation counts, uplink and transmission latencies,
-    each of shape (miners, count) with the rightful winner in row 0."""
-    shape = (cfg.num_miners, count)
-    return (rng.standard_exponential(shape), *dist.draw(rng, shape))
+def _replay(rng, cfg, dist, count):
+    """The race kernel's draws of ``count`` rounds, replayed in its order: the
+    winner's standard exponentials and (moves, uplink, transmission), the
+    candidate counts K, the candidates' lags, and their (moves, uplink,
+    transmission), candidates in round order."""
+    rate = derive(cfg.channel, cfg.miner).compute_rate
+    exp = rng.standard_exponential(count)
+    winner = dist.draw(rng, count)
+    reach = -np.expm1(-rate * winner[2])
+    k = rng.binomial(cfg.num_miners - 1, reach)
+    lag = -np.log1p(-rng.random(k.sum()) * np.repeat(reach, k)) / rate
+    return exp, winner, k, lag, dist.draw(rng, k.sum())
 
 
 def _argmin_race(rng, cfg, d, dist, count):
@@ -83,10 +88,17 @@ def test_equal_latency_hook_never_forks():
 
 def test_winner_keeps_an_exact_tie():
     class ZeroLags:
-        """Every standard exponential is 0: each loser's ACK lands with the winner's."""
+        """Every exponential and uniform is 0 and every loser a candidate: each
+        loser's ACK lands with the winner's."""
 
         def standard_exponential(self, shape):
             return np.zeros(shape)
+
+        def binomial(self, n, p):
+            return np.full(np.shape(p), n)
+
+        def random(self, size):
+            return np.zeros(size)
 
     class Constant:
         def draw(self, rng, shape):
@@ -95,17 +107,21 @@ def test_winner_keeps_an_exact_tie():
 
     cfg = default_config(num_miners=3)
     forked = _race(ZeroLags(), cfg, derive(cfg.channel, cfg.miner), Constant(), 10)[0]
-    assert not forked.any()
+    assert forked.shape == (10,) and not forked.any()
 
 
 def test_round_sample_invariants():
     cfg = default_config(num_miners=9)
     dist = LatencyDistribution.from_config(cfg)
-    exp, moves, uplink, total = _draws(substream(3, 0), cfg, dist, 200)
+    exp, winner, k, lag, losers = _replay(substream(3, 0), cfg, dist, 200)
     assert np.all(exp >= 0)
-    assert np.all((moves >= 0) & (moves == np.floor(moves)))
-    assert np.all((uplink > 0) & (uplink <= dist.max_uplink))
-    assert np.allclose(total, moves * dist.move_time + uplink)
+    assert np.all((k >= 0) & (k <= 8)) and 0 < k.sum() < 8 * 200
+    # a candidate's lag lies in [0, t*) of its round
+    assert np.all((lag >= 0) & (lag < np.repeat(winner[2], k)))
+    for moves, uplink, total in (winner, losers):
+        assert np.all((moves >= 0) & (moves == np.floor(moves)))
+        assert np.all((uplink > 0) & (uplink <= dist.max_uplink))
+        assert np.allclose(total, moves * dist.move_time + uplink)
 
 
 def test_race_winner_energy_formula():
@@ -116,41 +132,53 @@ def test_race_winner_energy_formula():
     rng = substream(4, 0)
     forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, d, dist, count)
     after = substream(4, 0)
-    exp, moves, uplink, total = _draws(after, cfg, dist, count)
+    exp, (moves, uplink, total), k, lag, losers = _replay(after, cfg, dist, count)
     assert rng.random() == after.random()  # the kernel made exactly the replayed draws
-    # the winner is row 0: the fastest of six computes for Exp(6 rate), and each
-    # loser for that time plus its own Exp(rate)
-    assert np.array_equal(forked, (exp[1:] / d.compute_rate + total[1:]).min(axis=0) < total[0])
+    # round by round: a fork is a candidate whose lag plus transmission beats the
+    # winner's transmission
+    starts = np.concatenate(([0], np.cumsum(k)))
+    arrival = lag + losers[2]
+    expected_forks = [bool(np.any(arrival[a:b] < t)) for a, b, t in zip(starts, starts[1:], total)]
+    assert forked.tolist() == expected_forks
     assert forked.any() and not forked.all()
-    assert np.array_equal(s_win, exp[0] / (6 * d.compute_rate))
-    assert np.array_equal(move_win, moves[0] * d.move_time_s)
-    assert np.array_equal(up_win, uplink[0])
+    assert np.array_equal(s_win, exp / (6 * d.compute_rate))
+    assert np.array_equal(move_win, moves * d.move_time_s)
+    assert np.array_equal(up_win, uplink)
     expected = (
         cfg.miner.compute_power_w * s_win
-        + cfg.miner.mobility_power_w * moves[0] * d.move_time_s
-        + cfg.channel.tx_power_w * uplink[0]
+        + cfg.miner.mobility_power_w * moves * d.move_time_s
+        + cfg.channel.tx_power_w * uplink
     )
     np.testing.assert_allclose(energy, expected, rtol=1e-12)
 
 
+def _fast_compute(cfg):
+    """``cfg`` at lambda0 = 10, a compute rate 250 times the default's: nearly
+    every loser is a candidate."""
+    return replace(cfg, miner=replace(cfg.miner, lambda0=10.0))
+
+
+# case: (config, latency hook or None, chunks, rounds per chunk)
 _ORACLE_CASES = {
-    "I=1": (default_config(num_miners=1), None),
-    "I=2": (default_config(num_miners=2), None),
-    "I=20": (default_config(num_miners=20), None),
-    "wireless-only": (default_config(10, latency_model=LatencyModel.WIRELESS_ONLY), None),
-    "two-atoms": (default_config(num_miners=4), TWO_ATOMS),
+    "I=1": (default_config(num_miners=1), None, 25, 4000),
+    "I=2": (default_config(num_miners=2), None, 25, 4000),
+    "I=20": (default_config(num_miners=20), None, 25, 4000),
+    "wireless-only": (default_config(10, latency_model=LatencyModel.WIRELESS_ONLY), None, 25, 4000),
+    "two-atoms": (default_config(num_miners=4), TWO_ATOMS, 25, 4000),
+    # the reference draws all 1000 miners of a round: 20k rounds keep it near 1 s
+    "I=1000": (default_config(num_miners=1000), None, 40, 500),
+    "lambda0=10": (_fast_compute(default_config(num_miners=10)), None, 25, 4000),
 }
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_race_matches_argmin_reference(case):
-    # Each kernel races 100k rounds on its own stream. Fork rate, winner compute,
-    # move and uplink means and the system energy must agree within 5 SE of the
-    # difference: a false failure has probability below 3e-6 per case.
-    cfg, dist = _ORACLE_CASES[case]
+    # Each kernel races chunks x rounds on its own stream. Fork rate, winner
+    # compute, move and uplink means and the system energy must agree within 5 SE
+    # of the difference: a false failure has probability below 3e-6 per case.
+    cfg, dist, chunks, count = _ORACLE_CASES[case]
     d = derive(cfg.channel, cfg.miner)
     dist = dist or LatencyDistribution.from_config(cfg)
-    chunks, count = 25, 4000
     results = []
     for stream, kernel in enumerate((_race, _argmin_race)):
         rng = substream(2024, stream)
@@ -164,6 +192,8 @@ def test_race_matches_argmin_reference(case):
         assert abs(new - ref) <= 5 * math.hypot(new_se, ref_se), (case, name, new, ref)
     if cfg.num_miners == 1:
         assert results[0][0] == results[1][0] == (0.0, 0.0)  # a lone miner never forks
+    else:
+        assert 0.0 < results[1][0][0] < 1.0  # the reference forks some rounds, not all
 
 
 def test_fork_rate_statistically_increases_with_miners():
@@ -184,14 +214,20 @@ def test_block_cap_flags_with_max_rounds_one(monkeypatch):
 
 
 def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
-    """The block substream judged one round at a time: (start round, rounds, energy, capped)."""
+    """The block substream judged one round at a time: a list of (start round,
+    rounds, energy, capped) per block, and the start round of each batch drawn.
+    A batch is the blocks still needed times the rounds per block drawn so far
+    (at least 1), floor 64, cut by _rows."""
     rng = substream(cfg.rng_seed, 1, chunk_index)
     d = derive(cfg.channel, cfg.miner)
-    blocks = []
+    blocks, batch_starts = [], []
     start = rounds = position = 0
     energy = 0.0
     while len(blocks) < count:
-        forked, win_energy = _race(rng, cfg, d, dist, _rows(BLOCK_BATCH, cfg.num_miners))[:2]
+        done = len(blocks)
+        batch = max(64, math.ceil((count - done) * max(1, position / max(done, 1))))
+        batch_starts.append(position)
+        forked, win_energy = _race(rng, cfg, d, dist, _rows(batch, cfg.num_miners))[:2]
         for f, e in zip(forked, win_energy):
             rounds += 1
             energy += e
@@ -201,7 +237,7 @@ def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
                 start, rounds, energy = position, 0, 0.0
                 if len(blocks) == count:
                     break
-    return blocks
+    return blocks, batch_starts
 
 
 class _WideLatency:
@@ -213,7 +249,7 @@ class _WideLatency:
 
 
 # short-cap: a round forks with probability 7/16, so a batch boundary falls inside
-# a block with probability about 0.3; 6000 blocks span 16 boundaries.
+# a block with probability about 0.3; this seed's one boundary does.
 @pytest.mark.parametrize(
     "miners, dist, count, max_rounds",
     [(4, TWO_ATOMS, 6000, 2), (500, _WideLatency(), 12, 1100), (4096, TWO_ATOMS, 600, 2)],
@@ -223,20 +259,25 @@ def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
     cfg = default_config(num_miners=miners)
     d = derive(cfg.channel, cfg.miner)
     rounds, energy, capped = _blocks(cfg, d, dist, 3, count, max_rounds)
-    expected = _round_loop_blocks(cfg, dist, 3, count, max_rounds)
+    expected, batch_starts = _round_loop_blocks(cfg, dist, 3, count, max_rounds)
     assert rounds.tolist() == [b[1] for b in expected]
     assert capped.tolist() == [b[3] for b in expected]
     np.testing.assert_allclose(energy, [b[2] for b in expected], rtol=1e-12)
     # the cases the split must get right are present
-    batch = _rows(BLOCK_BATCH, miners)
-    assert batch == (BLOCK_BATCH if miners <= 2048 else 256)
-    assert any(b[0] // batch != (b[0] + b[1] - 1) // batch for b in expected)
+    assert len(batch_starts) > 1
+    if miners > 2048:  # _rows cuts the first batch, of `count` rounds, to 2^20 // I
+        assert batch_starts[1] == (1 << 20) // miners < count
+
+    def batch_of(position):
+        return int(np.searchsorted(batch_starts, position, side="right")) - 1
+
+    assert any(batch_of(b[0]) != batch_of(b[0] + b[1] - 1) for b in expected)
     # a run of forks longer than the cap: a capped block, then one that starts with a fork
     assert any(a[3] and (b[1] > 1 or b[3]) for a, b in zip(expected, expected[1:]))
     assert not all(b[3] for b in expected)
-    if max_rounds > batch:
+    if max_rounds > 64:
         # a batch with no block end, before the last batch used: the open block carries over
-        end_batches = {(b[0] + b[1] - 1) // batch for b in expected}
+        end_batches = {batch_of(b[0] + b[1] - 1) for b in expected}
         assert set(range(max(end_batches))) - end_batches
 
 
@@ -385,9 +426,9 @@ def test_system_energy_extension_metric():
     d = derive(cfg.channel, cfg.miner)
     count = 50
     _, energy, s_win, *_, system = _race(substream(8, 0), cfg, d, dist, count)
-    exp, *_, total = _draws(substream(8, 0), cfg, dist, count)
-    assert np.array_equal(s_win, exp[0] / (6 * d.compute_rate))
-    expected = energy + 5 * cfg.miner.compute_power_w * (s_win + total[0])
+    exp, (*_, total), *_ = _replay(substream(8, 0), cfg, dist, count)
+    assert np.array_equal(s_win, exp / (6 * d.compute_rate))
+    expected = energy + 5 * cfg.miner.compute_power_w * (s_win + total)
     np.testing.assert_allclose(system, expected, rtol=1e-12)
     assert np.all(system > energy)
 
