@@ -42,12 +42,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .channel import DiscreteLatency, LatencyDistribution, pn_tolerances, uplink_latency
-from .model import (
-    AnalyticResult,
-    LatencyModel,
-    SystemConfig,
-    derive,
-)
+from .model import AnalyticResult, LatencyModel, SystemConfig
 
 __all__ = [
     "QuadratureError",
@@ -456,16 +451,15 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
     ``error <= quadrature_tol * value``; if that cannot be reached even after
     a refinement pass, :class:`QuadratureError` is raised with the achieved
     numbers. A ``dist`` override substitutes the transmission-latency law
-    (e.g. a :class:`DiscreteLatency`, evaluated in closed form).
+    (e.g. a :class:`DiscreteLatency`, evaluated in closed form); the compute
+    rate is always ``config``'s.
     """
     num = config.num_miners
     if num == 1:
         return 1.0, 0.0
     if dist is None:
         dist = LatencyDistribution.from_config(config)
-    rate = getattr(dist, "compute_rate", None)
-    if rate is None:
-        rate = derive(config.channel, config.miner).compute_rate
+    rate = config.derived.compute_rate
 
     if isinstance(dist, DiscreteLatency):
         atoms = np.asarray(dist.atoms)
@@ -496,8 +490,7 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
 
 def expected_min_compute_latency(config: SystemConfig) -> float:
     """Mean compute time of the fastest of I miners: 1 / (compute_rate * I)."""
-    d = derive(config.channel, config.miner)
-    return 1.0 / (d.compute_rate * config.num_miners)
+    return 1.0 / (config.derived.compute_rate * config.num_miners)
 
 
 def expected_mobility_latency(config: SystemConfig) -> float:
@@ -506,7 +499,7 @@ def expected_mobility_latency(config: SystemConfig) -> float:
     Reports infinity explicitly once the exponent passes 700 (the relocation
     count is astronomically large for such thresholds).
     """
-    d = derive(config.channel, config.miner)
+    d = config.derived
     exponent = d.snr_rate * config.channel.snr_threshold
     if exponent > 700.0:
         return math.inf

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, LatencyModel, SystemConfig, derive
+from .model import ConfigError, LatencyModel, SystemConfig
 
 __all__ = [
     "substream",
@@ -97,7 +97,7 @@ class LatencyDistribution:
     """Transmission latency T of one miner: a geometric mixture over the
     relocation count of the shifted uplink-latency law.
 
-    Built via :meth:`from_config` from the scalars of :func:`derive`.
+    Built via :meth:`from_config` from the config's ``derived`` scalars.
     Instances are immutable and hashable so analytic evaluators can cache
     against them.
     """
@@ -115,7 +115,7 @@ class LatencyDistribution:
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "LatencyDistribution":
-        d = derive(config.channel, config.miner)
+        d = config.derived
         if d.success_prob <= 0.0:
             raise ConfigError(
                 [

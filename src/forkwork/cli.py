@@ -348,6 +348,10 @@ def main(argv=None) -> int:
         for message in exc.errors:
             _note(f"config error: {message}")
         return EXIT_CONFIG
+    except UnicodeDecodeError as exc:  # a config or spec file that is not text
+        _note(f"config error: input file is not {exc.encoding} text"
+              f" ({exc.reason} at byte {exc.start})")
+        return EXIT_CONFIG
     except QuadratureError as exc:
         _note(f"quadrature failure: {exc}")
         return EXIT_QUADRATURE

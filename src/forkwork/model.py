@@ -93,7 +93,12 @@ class MinerParams:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full parameterization of one experiment."""
+    """Full parameterization of one experiment.
+
+    ``derived`` holds the :class:`DerivedParams` computed once when the config
+    is built. It is an attribute, not a field, so ``repr``, ``==``, ``hash``
+    and :func:`config_digest` see only the inputs.
+    """
 
     num_miners: int
     channel: ChannelParams
@@ -135,7 +140,7 @@ class SystemConfig:
 
         if not errors:
             try:
-                derive(ch, mn)
+                object.__setattr__(self, "derived", derive(ch, mn))
             except ValueError as exc:
                 errors.append(str(exc))
         if errors:

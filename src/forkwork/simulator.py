@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import LatencyDistribution, substream
-from .model import SystemConfig, derive
+from .model import SystemConfig
 
 __all__ = [
     "Estimate",
@@ -71,8 +71,8 @@ class SimulationSummary:
     config: SystemConfig
 
 
-def _race(rng: np.random.Generator, config: SystemConfig, d, dist, count: int):
-    """Race ``count`` independent rounds in one batch; ``d`` is ``config``'s ``derive``.
+def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
+    """Race ``count`` independent rounds in one batch.
 
     The miners are i.i.d., so the rightful winner (the fastest computer) is raced
     alone: the fastest of I compute times is Exp(I rate), and by memorylessness
@@ -92,6 +92,7 @@ def _race(rng: np.random.Generator, config: SystemConfig, d, dist, count: int):
     winner energy, winner compute, move and uplink times, and the system energy,
     an extension metric: the winner's energy plus each loser's compute power
     until the winner's ACK lands, outside the analytic cross-checks."""
+    d = config.derived
     miners, rate = config.num_miners, d.compute_rate
     s_win = rng.standard_exponential(count) / (miners * rate)
     moves, up_win, t_win = dist.draw(rng, count)
@@ -126,17 +127,17 @@ def _rows(limit: int, num_miners: int) -> int:
     return max(1, min(limit, (1 << 20) // num_miners))
 
 
-def _round_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int):
+def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
     """Simulate ``count`` independent rounds; return commutative partial sums."""
     rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
-    forked, _, *values = _race(rng, config, d, dist, count)
+    forked, _, *values = _race(rng, config, dist, count)
     sums = [count, int(np.count_nonzero(forked))]
     for v in values:
         sums += [float(v.sum()), float((v**2).sum())]
     return tuple(sums)
 
 
-def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rounds: int):
+def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
     """Rounds, winner energy and cap flag of each of ``count`` blocks.
 
     A block races rounds until one commits without forking, or until
@@ -158,7 +159,7 @@ def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rou
         batch = _rows(max(64, math.ceil((count - done) * per_block)), config.num_miners)
         drawn += batch
         index = np.arange(1, batch + 1)
-        forked, win_energy = _race(rng, config, d, dist, batch)[:2]
+        forked, win_energy = _race(rng, config, dist, batch)[:2]
         # rounds since the last commit, the open block's included; a run of
         # forks is cut into capped blocks at every multiple of max_rounds
         commits = np.maximum.accumulate(np.where(forked, -open_rounds, index))
@@ -182,8 +183,8 @@ def _blocks(config: SystemConfig, d, dist, chunk_index: int, count: int, max_rou
     return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
 
 
-def _block_chunk(config: SystemConfig, d, dist, chunk_index: int, count: int):
-    rounds, energy, capped = _blocks(config, d, dist, chunk_index, count, MAX_ROUNDS)
+def _block_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
+    rounds, energy, capped = _blocks(config, dist, chunk_index, count, MAX_ROUNDS)
     rounds = rounds.astype(float)
     return (
         count,
@@ -255,28 +256,23 @@ def estimate(
     """
     if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
-    d = derive(config.channel, config.miner)
     if dist is None:
         dist = LatencyDistribution.from_config(config)
 
     sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
     parts = _run_tasks(
-        _round_chunk,
-        (repeat(config), repeat(d), repeat(dist), range(len(sizes)), sizes),
-        workers,
+        _round_chunk, (repeat(config), repeat(dist), range(len(sizes)), sizes), workers
     )
-    totals = [sum(p[i] for p in parts) for i in range(10)]
+    totals = [sum(column) for column in zip(*parts)]
     n = totals[0]
     fork_rate = totals[1] / n
     fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
 
     sizes_b = _chunk_sizes(num_blocks, BLOCK_CHUNK)
     parts_b = _run_tasks(
-        _block_chunk,
-        (repeat(config), repeat(d), repeat(dist), range(len(sizes_b)), sizes_b),
-        workers,
+        _block_chunk, (repeat(config), repeat(dist), range(len(sizes_b)), sizes_b), workers
     )
-    totals_b = [sum(p[i] for p in parts_b) for i in range(6)]
+    totals_b = [sum(column) for column in zip(*parts_b)]
     nb = totals_b[0]
 
     return SimulationSummary(

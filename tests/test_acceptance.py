@@ -94,13 +94,12 @@ def test_criterion_3_order_statistics():
     details = []
     for index, miners in enumerate((1, 5, 20)):
         cfg = default_config(num_miners=miners)
-        d = derive(cfg.channel, cfg.miner)
         dist = LatencyDistribution.from_config(cfg)
         total = 0.0
         rng = substream(9000, index)
         for _ in range(trials // chunk):
             # the rightful winner is the fastest computer: its time is the minimum
-            total += _race(rng, cfg, d, dist, chunk)[2].sum()
+            total += _race(rng, cfg, dist, chunk)[2].sum()
         mean = total / trials
         expected = 1.0 / (rate * miners)
         details.append(f"I={miners}: {mean:.6f} vs {expected:.6f}")

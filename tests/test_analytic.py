@@ -392,6 +392,16 @@ def test_wireless_only_variant_cross_checks_with_simulator():
     assert abs(p - s.no_fork_prob.value) <= max(0.01, 3 * s.no_fork_prob.se)
 
 
+def test_dist_override_keeps_the_config_compute_rate():
+    # the law's own compute rate is 4x the config's; both halves race at the config's
+    cfg = default_config()
+    law = _dist(replace(cfg, miner=replace(cfg.miner, lambda0=4 * cfg.miner.lambda0)))
+    p, err = no_forking_probability(cfg, dist=law)
+    assert (p, err) == no_forking_probability(cfg)
+    s = estimate(cfg, dist=law)
+    assert abs(p - s.no_fork_prob.value) <= 5 * s.no_fork_prob.se
+
+
 # --- expectations ------------------------------------------------------------
 
 

@@ -29,8 +29,7 @@ def _dist(**overrides) -> LatencyDistribution:
 def _compute_times(rng, count):
     """Compute times of ``count`` single-miner rounds: at I = 1 the winner's is the draw."""
     cfg = default_config(num_miners=1)
-    d = derive(cfg.channel, cfg.miner)
-    return _race(rng, cfg, d, LatencyDistribution.from_config(cfg), count)[2]
+    return _race(rng, cfg, LatencyDistribution.from_config(cfg), count)[2]
 
 
 def _snr(d, uplink):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from forkwork import cli
+from forkwork import analytic, channel, cli, model, simulator
 from forkwork.analytic import QuadratureError
 from forkwork.channel import MIXTURE_DEPTH_CAP
 from forkwork.model import (
@@ -102,6 +102,26 @@ def test_analytic_checks_config_once(tmp_path, monkeypatch):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [("analytic", []), ("simulate", ["--trials", "100", "--blocks", "100"])],
+)
+def test_command_derives_once(tmp_path, monkeypatch, command, options):
+    path = _write_config(tmp_path)
+    calls = []
+    real = model.derive
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (model, channel, analytic, simulator):  # every binding of the name
+        if hasattr(module, "derive"):
+            monkeypatch.setattr(module, "derive", counting)
+    assert cli.main([command, path, *options, "--out", str(tmp_path / "row.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_missing_key_exit_code(tmp_path, capsys):
     text = config_text(default_config())
     text = "\n".join(l for l in text.splitlines() if not l.startswith("ack_bits"))
@@ -128,6 +148,16 @@ def test_invalid_config_value_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(tmp_path, capsys):
     assert cli.main(["analytic", str(tmp_path / "absent.txt")]) == 1
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "sweep"])
+def test_binary_input_file_is_config_error(tmp_path, command):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00num_miners = 10\n\xff\xfe\xd0\x00\x80")
+    done = _cli_in_child([command, str(path)])
+    assert done.returncode == 1
+    assert done.stderr.startswith("config error: ") and "input file is not" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_quadrature_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -219,6 +219,18 @@ def test_config_digest_stability():
     assert len(a) == 12
 
 
+def test_config_keeps_derived_scalars_outside_its_fields():
+    cfg = default_config()
+    assert cfg.derived == derive(cfg.channel, cfg.miner)
+    assert config_digest(cfg) == "4b96d8473f27"
+    assert "derived" not in repr(cfg)
+    assert "derived" not in [f.name for f in fields(cfg)]
+    copy = pickle.loads(pickle.dumps(cfg))  # as a pool worker receives it
+    assert copy == cfg and hash(copy) == hash(cfg) and copy.derived == cfg.derived
+    moved = replace(cfg, miner=replace(cfg.miner, lambda0=0.08))
+    assert moved.derived.compute_rate == 2 * cfg.derived.compute_rate
+
+
 def test_config_digest_covers_tolerances():
     base = default_config()
     digests = {

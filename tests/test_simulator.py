@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from forkwork import simulator
 from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
-from forkwork.model import LatencyModel, default_config, derive
+from forkwork.model import LatencyModel, default_config
 from forkwork.simulator import (
     BLOCK_CHUNK,
     ROUND_CHUNK,
@@ -28,7 +28,7 @@ def _replay(rng, cfg, dist, count):
     winner's standard exponentials and (moves, uplink, transmission), the
     candidate counts K, the candidates' lags, and their (moves, uplink,
     transmission), candidates in round order."""
-    rate = derive(cfg.channel, cfg.miner).compute_rate
+    rate = cfg.derived.compute_rate
     exp = rng.standard_exponential(count)
     winner = dist.draw(rng, count)
     reach = -np.expm1(-rate * winner[2])
@@ -37,10 +37,11 @@ def _replay(rng, cfg, dist, count):
     return exp, winner, k, lag, dist.draw(rng, k.sum())
 
 
-def _argmin_race(rng, cfg, d, dist, count):
+def _argmin_race(rng, cfg, dist, count):
     """Reference race: the earlier kernel, which draws every miner's compute
     time in (count, miners) arrays and finds the winner and the first ACK by
     argmin (ties to the lowest index)."""
+    d = cfg.derived
     shape = (count, cfg.num_miners)
     compute = -np.log(1.0 - rng.random(shape)) / d.compute_rate
     moves, uplink, transmission = dist.draw(rng, shape)
@@ -69,8 +70,7 @@ def test_single_miner_never_forks():
 
 def test_single_miner_block_is_one_round():
     cfg = default_config(num_miners=1)
-    d = derive(cfg.channel, cfg.miner)
-    rounds, energy, capped = _blocks(cfg, d, LatencyDistribution.from_config(cfg), 0, 300, 10_000)
+    rounds, energy, capped = _blocks(cfg, LatencyDistribution.from_config(cfg), 0, 300, 10_000)
     assert np.all(rounds == 1)
     assert not capped.any()
     assert np.all(energy > 0)
@@ -79,7 +79,7 @@ def test_single_miner_block_is_one_round():
 def test_equal_latency_hook_never_forks():
     cfg = default_config(num_miners=7)
     hook = DiscreteLatency.constant(0.21)
-    forked = _race(substream(cfg.rng_seed, 101), cfg, derive(cfg.channel, cfg.miner), hook, 2000)[0]
+    forked = _race(substream(cfg.rng_seed, 101), cfg, hook, 2000)[0]
     assert not forked.any()
     s = estimate(cfg, num_blocks=100, num_round_trials=2000, dist=hook)
     assert s.fork_rate.value == 0
@@ -106,7 +106,7 @@ def test_winner_keeps_an_exact_tie():
             return np.zeros(shape), t, t
 
     cfg = default_config(num_miners=3)
-    forked = _race(ZeroLags(), cfg, derive(cfg.channel, cfg.miner), Constant(), 10)[0]
+    forked = _race(ZeroLags(), cfg, Constant(), 10)[0]
     assert forked.shape == (10,) and not forked.any()
 
 
@@ -127,10 +127,10 @@ def test_round_sample_invariants():
 def test_race_winner_energy_formula():
     cfg = default_config(num_miners=6)
     dist = LatencyDistribution.from_config(cfg)
-    d = derive(cfg.channel, cfg.miner)
+    d = cfg.derived
     count = 500
     rng = substream(4, 0)
-    forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, d, dist, count)
+    forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, dist, count)
     after = substream(4, 0)
     exp, (moves, uplink, total), k, lag, losers = _replay(after, cfg, dist, count)
     assert rng.random() == after.random()  # the kernel made exactly the replayed draws
@@ -177,12 +177,11 @@ def test_race_matches_argmin_reference(case):
     # compute, move and uplink means and the system energy must agree within 5 SE
     # of the difference: a false failure has probability below 3e-6 per case.
     cfg, dist, chunks, count = _ORACLE_CASES[case]
-    d = derive(cfg.channel, cfg.miner)
     dist = dist or LatencyDistribution.from_config(cfg)
     results = []
     for stream, kernel in enumerate((_race, _argmin_race)):
         rng = substream(2024, stream)
-        races = zip(*(kernel(rng, cfg, d, dist, count) for _ in range(chunks)))
+        races = zip(*(kernel(rng, cfg, dist, count) for _ in range(chunks)))
         values = [np.concatenate(v) for v in races]
         del values[1]  # the winner energy is a sum of the three checked times
         results.append([(v.mean(), v.std(ddof=1) / math.sqrt(v.size)) for v in values])
@@ -219,7 +218,6 @@ def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
     A batch is the blocks still needed times the rounds per block drawn so far
     (at least 1), floor 64, cut by _rows."""
     rng = substream(cfg.rng_seed, 1, chunk_index)
-    d = derive(cfg.channel, cfg.miner)
     blocks, batch_starts = [], []
     start = rounds = position = 0
     energy = 0.0
@@ -227,7 +225,7 @@ def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
         done = len(blocks)
         batch = max(64, math.ceil((count - done) * max(1, position / max(done, 1))))
         batch_starts.append(position)
-        forked, win_energy = _race(rng, cfg, d, dist, _rows(batch, cfg.num_miners))[:2]
+        forked, win_energy = _race(rng, cfg, dist, _rows(batch, cfg.num_miners))[:2]
         for f, e in zip(forked, win_energy):
             rounds += 1
             energy += e
@@ -257,8 +255,7 @@ class _WideLatency:
 )
 def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
     cfg = default_config(num_miners=miners)
-    d = derive(cfg.channel, cfg.miner)
-    rounds, energy, capped = _blocks(cfg, d, dist, 3, count, max_rounds)
+    rounds, energy, capped = _blocks(cfg, dist, 3, count, max_rounds)
     expected, batch_starts = _round_loop_blocks(cfg, dist, 3, count, max_rounds)
     assert rounds.tolist() == [b[1] for b in expected]
     assert capped.tolist() == [b[3] for b in expected]
@@ -423,11 +420,10 @@ def test_system_energy_extension_metric():
     # the winner's ACK lands
     cfg = default_config(num_miners=6)
     dist = LatencyDistribution.from_config(cfg)
-    d = derive(cfg.channel, cfg.miner)
     count = 50
-    _, energy, s_win, *_, system = _race(substream(8, 0), cfg, d, dist, count)
+    _, energy, s_win, *_, system = _race(substream(8, 0), cfg, dist, count)
     exp, (*_, total), *_ = _replay(substream(8, 0), cfg, dist, count)
-    assert np.array_equal(s_win, exp / (6 * d.compute_rate))
+    assert np.array_equal(s_win, exp / (6 * cfg.derived.compute_rate))
     expected = energy + 5 * cfg.miner.compute_power_w * (s_win + total)
     np.testing.assert_allclose(system, expected, rtol=1e-12)
     assert np.all(system > energy)
