@@ -36,7 +36,7 @@ where q has kinks, at u = max_uplink - k * move_time.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -61,8 +61,13 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message, *, value=float("nan"), error_estimate=float("inf")):
         super().__init__(f"{message} (value={value!r}, error_estimate={error_estimate!r})")
+        self._message = message
         self.value = value
         self.error_estimate = error_estimate
+
+    def __reduce__(self):  # rebuilt from its arguments: a pickle round trip keeps the message
+        rebuild = partial(type(self), value=self.value, error_estimate=self.error_estimate)
+        return rebuild, (self._message,)
 
 
 # --- adaptive quadrature ------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .analytic import QuadratureError, evaluate
@@ -32,7 +33,16 @@ from .model import (
     parse_flat_text,
     parse_value,
 )
-from .simulator import DEFAULT_BLOCKS, DEFAULT_ROUND_TRIALS, MIN_TRIALS, SimulationSummary, estimate
+from .simulator import (
+    DEFAULT_BLOCKS,
+    DEFAULT_ROUND_TRIALS,
+    MIN_TRIALS,
+    SimulationSummary,
+    _chunk_tasks,
+    _run_tasks,
+    _summary,
+    estimate,
+)
 
 __all__ = ["main", "parse_sweep_text", "preset_jobs", "PRESETS"]
 
@@ -220,6 +230,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _analytic_job(config: SystemConfig):
+    """A sweep point's analytic result, or the error that stopped it: returned,
+    not raised, so that one point's failure crosses the pool as a value."""
+    try:
+        return evaluate(config)
+    except (ConfigError, QuadratureError, ValueError) as exc:
+        return exc
+
+
 def cmd_sweep(args) -> int:
     if args.preset is not None:
         jobs = preset_jobs(args.preset)
@@ -229,34 +248,44 @@ def cmd_sweep(args) -> int:
     round_trials = args.trials if args.trials is not None else round_trials
     block_trials = args.blocks if args.blocks is not None else block_trials
 
-    lines = [SWEEP_COLUMNS]
-    warnings: list[str] = []
+    # one task list: each point's analytic job, then its round and block chunks
+    points, tasks = [], []
     for index, (label, value, cfg) in enumerate(jobs):
         # without --seed, a point's seed derives from its config's: the spec's or the default's
         base_seed = args.seed if args.seed is not None else cfg.rng_seed
-        point_seed = derive_seed(base_seed, _POINT_STREAM, index)
-        cfg = replace(cfg, rng_seed=point_seed)
+        cfg = replace(cfg, rng_seed=derive_seed(base_seed, _POINT_STREAM, index))
+        try:
+            plan = _chunk_tasks(cfg, block_trials, round_trials)
+        except (ConfigError, QuadratureError, ValueError) as exc:
+            plan = exc
+        points.append((label, value, cfg, plan))
+        tasks.append((_analytic_job, cfg))
+        if not isinstance(plan, Exception):
+            tasks += plan[0]
+    results = iter(_run_tasks(tasks, args.workers))
+
+    lines = [SWEEP_COLUMNS]
+    warnings: list[str] = []
+    for label, value, cfg, plan in points:
         cells: dict[str, object] = {name: None for name in SWEEP_COLUMNS.split(",")}
         cells["param"] = label
         cells["value"] = value
-        cells["seed"] = point_seed
+        cells["seed"] = cfg.rng_seed
         cells["config_hash"] = config_digest(cfg)
-        try:
-            result = evaluate(cfg)
+        result = next(results)
+        if isinstance(result, Exception):
+            warnings.append(f"{label}={value}: analytic failed: {result}")
+        else:
             cells["p_n_analytic"] = result.no_fork_prob
             cells["energy_analytic"] = result.avg_block_energy
             cells["e_s"] = result.exp_min_compute
             cells["e_tm"] = result.exp_mobility
             cells["e_tu"] = result.exp_uplink
-        except (ConfigError, QuadratureError, ValueError) as exc:
-            warnings.append(f"{label}={value}: analytic failed: {exc}")
-        try:
-            summary = estimate(
-                cfg,
-                num_blocks=block_trials,
-                num_round_trials=round_trials,
-                workers=args.workers,
-            )
+        if isinstance(plan, Exception):
+            warnings.append(f"{label}={value}: simulation failed: {plan}")
+        else:
+            chunks, rounds = plan
+            summary = _summary(cfg, list(islice(results, len(chunks))), rounds)
             cells["p_n_sim"] = summary.no_fork_prob.value
             cells["p_n_se"] = summary.no_fork_prob.se
             cells["energy_sim"] = summary.mean_block_energy.value
@@ -266,8 +295,6 @@ def cmd_sweep(args) -> int:
                 warnings.append(
                     f"{label}={value}: {summary.capped_blocks} block(s) hit the round cap"
                 )
-        except (ConfigError, QuadratureError, ValueError) as exc:
-            warnings.append(f"{label}={value}: simulation failed: {exc}")
         lines.append(",".join(_fmt(cells[name]) for name in SWEEP_COLUMNS.split(",")))
 
     _emit_csv(lines, args.out)

@@ -63,6 +63,9 @@ class ConfigError(ValueError):
         self.errors = [str(e) for e in errors]
         super().__init__("; ".join(self.errors) or "invalid configuration")
 
+    def __reduce__(self):  # rebuilt from its messages, not from the joined text
+        return type(self), (self.errors,)
+
 
 @dataclass(frozen=True)
 class ChannelParams:

@@ -18,7 +18,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +38,7 @@ BLOCK_CHUNK = 256
 MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
 DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
 MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
+BATCHES_PER_WORKER = 4  # a task list reaches the pool in about this many batches per worker
 _ROUND_STREAM = 0
 _BLOCK_STREAM = 1
 
@@ -217,27 +217,74 @@ def _cpu_count() -> int:
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), one per process
 
 
-def _run_tasks(fn, arg_lists, workers: int):
-    """``fn`` over the zipped argument lists, results in task order.
+def _call(task):
+    fn, *args = task
+    return fn(*args)
+
+
+def _run_tasks(tasks, workers: int) -> list:
+    """Every task ``(fn, *args)`` run once, results in task order.
 
     More than one worker uses the process's one pool, sized at most the
     CPUs this process may run on, started on first use and replaced only
-    when a different size is asked for.
+    when a different size is asked for. The list goes to the pool in one
+    ``map`` call, in about BATCHES_PER_WORKER batches per worker, so a batch
+    of small tasks pays one round trip; one worker runs the same list here.
     """
     global _pool
-    tasks = list(zip(*arg_lists))
     workers = min(workers, _cpu_count())
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(*args) for args in tasks]
+        return [_call(task) for task in tasks]
     if _pool is None or _pool[0] != workers:
         if _pool is not None:
             _pool[1].shutdown()
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    batch = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
     try:
-        return list(_pool[1].map(fn, *zip(*tasks)))
+        return list(_pool[1].map(_call, tasks, chunksize=batch))
     except BrokenProcessPool:
         _pool = None  # a worker died; the next call starts a new pool
         raise
+
+
+def _chunk_tasks(config: SystemConfig, num_blocks: int, num_round_trials: int, dist=None):
+    """The tasks of one estimate, round chunks then block chunks, and the
+    number of round chunks; ``_summary`` reduces their results."""
+    if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
+        raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
+    if dist is None:
+        dist = LatencyDistribution.from_config(config)
+    sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
+    tasks = [(_round_chunk, config, dist, i, n) for i, n in enumerate(sizes)]
+    tasks += [
+        (_block_chunk, config, dist, i, n)
+        for i, n in enumerate(_chunk_sizes(num_blocks, BLOCK_CHUNK))
+    ]
+    return tasks, len(sizes)
+
+
+def _summary(config: SystemConfig, parts: list, rounds: int) -> SimulationSummary:
+    """Sum the chunk results of ``_chunk_tasks`` in task order into estimates."""
+    totals = [sum(column) for column in zip(*parts[:rounds])]
+    n = totals[0]
+    fork_rate = totals[1] / n
+    fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
+    totals_b = [sum(column) for column in zip(*parts[rounds:])]
+    nb = totals_b[0]
+    return SimulationSummary(
+        fork_rate=Estimate(fork_rate, fork_se),
+        no_fork_prob=Estimate(1.0 - fork_rate, fork_se),
+        mean_rounds=_mean_se(nb, totals_b[1], totals_b[2]),
+        mean_block_energy=_mean_se(nb, totals_b[3], totals_b[4]),
+        mean_winner_compute=_mean_se(n, totals[2], totals[3]),
+        mean_winner_move=_mean_se(n, totals[4], totals[5]),
+        mean_winner_uplink=_mean_se(n, totals[6], totals[7]),
+        mean_system_energy=_mean_se(n, totals[8], totals[9]),
+        round_trials=n,
+        block_trials=nb,
+        capped_blocks=int(totals_b[5]),
+        config=config,
+    )
 
 
 def estimate(
@@ -254,38 +301,5 @@ def estimate(
     Deterministic given (config.rng_seed, config): results are bit-identical
     across runs and across worker counts.
     """
-    if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
-        raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
-    if dist is None:
-        dist = LatencyDistribution.from_config(config)
-
-    sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
-    parts = _run_tasks(
-        _round_chunk, (repeat(config), repeat(dist), range(len(sizes)), sizes), workers
-    )
-    totals = [sum(column) for column in zip(*parts)]
-    n = totals[0]
-    fork_rate = totals[1] / n
-    fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
-
-    sizes_b = _chunk_sizes(num_blocks, BLOCK_CHUNK)
-    parts_b = _run_tasks(
-        _block_chunk, (repeat(config), repeat(dist), range(len(sizes_b)), sizes_b), workers
-    )
-    totals_b = [sum(column) for column in zip(*parts_b)]
-    nb = totals_b[0]
-
-    return SimulationSummary(
-        fork_rate=Estimate(fork_rate, fork_se),
-        no_fork_prob=Estimate(1.0 - fork_rate, fork_se),
-        mean_rounds=_mean_se(nb, totals_b[1], totals_b[2]),
-        mean_block_energy=_mean_se(nb, totals_b[3], totals_b[4]),
-        mean_winner_compute=_mean_se(n, totals[2], totals[3]),
-        mean_winner_move=_mean_se(n, totals[4], totals[5]),
-        mean_winner_uplink=_mean_se(n, totals[6], totals[7]),
-        mean_system_energy=_mean_se(n, totals[8], totals[9]),
-        round_trials=n,
-        block_trials=nb,
-        capped_blocks=int(totals_b[5]),
-        config=config,
-    )
+    tasks, rounds = _chunk_tasks(config, num_blocks, num_round_trials, dist)
+    return _summary(config, _run_tasks(tasks, workers), rounds)

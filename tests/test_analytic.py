@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -64,6 +65,16 @@ def test_integrator_budget_exhaustion_raises():
         integrate_adaptive(jagged, 0.0, 1.0, rel_tol=1e-14, max_intervals=8)
     assert math.isfinite(exc.value.value)
     assert exc.value.error_estimate > 0
+
+
+def test_quadrature_error_survives_a_pickle_round_trip():
+    # a sweep's analytic job returns its error through the worker pool
+    error = QuadratureError("interval budget exhausted", value=0.25, error_estimate=1e-3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is QuadratureError
+    assert str(copy) == str(error) == "interval budget exhausted (value=0.25, error_estimate=0.001)"
+    assert copy.args == error.args
+    assert (copy.value, copy.error_estimate) == (0.25, 1e-3)
 
 
 def test_integrator_rejects_non_finite():

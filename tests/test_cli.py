@@ -525,17 +525,71 @@ def test_sweep_preset_deterministic_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_preset_fig4_bytes_hold_at_workers_1_2_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_pool", None)
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 4)  # 4 workers really start
+    args = ["sweep", "--preset", "fig4", "--trials", "800", "--blocks", "100"]
+    tables = []
+    try:
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}.csv"
+            assert cli.main(args + ["--out", str(out), "--workers", str(workers)]) == 0
+            tables.append(out.read_bytes())
+        assert simulator._pool[0] == 4
+    finally:
+        if simulator._pool is not None:
+            simulator._pool[1].shutdown()
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
+    # fast compute on a short link: the analytic error budget fails at every
+    # point, and each warning carries a QuadratureError back from a worker
+    monkeypatch.setattr(simulator, "_pool", None)
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
+    base = [
+        line
+        for line in config_text(default_config()).splitlines()
+        if not line.startswith(("lambda0 ", "snr_threshold_db "))
+    ]
+    spec = tmp_path / "fast.txt"
+    spec.write_text(
+        "\n".join(base)
+        + "\nlambda0 = 20\nsnr_threshold_db = 20\n"
+        + "sweep_param = tx_power_w\nsweep_values = 0.1, 0.2\n"
+        + "round_trials = 1000\nblock_trials = 100\n"
+    )
+    outputs = []
+    try:
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            assert cli.main(["sweep", str(spec), "--out", str(out), "--workers", str(workers)]) == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.warnings").read_text()))
+    finally:
+        if simulator._pool is not None:
+            simulator._pool[1].shutdown()
+    assert outputs[1] == outputs[0]
+    warnings = outputs[0][1].splitlines()
+    assert len(warnings) == 2
+    assert all("analytic failed: interval budget exhausted" in w for w in warnings)
+    assert all(w.count("error_estimate=") == 1 for w in warnings)
+
+
 def test_sweep_starts_one_pool(tmp_path, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
     from forkwork import simulator
 
-    started = []
+    started, maps = [], []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            maps.append(fn)
+            return super().map(fn, *iterables, **kwargs)
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(simulator, "_pool", None)
@@ -553,6 +607,7 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
         if simulator._pool is not None:
             simulator._pool[1].shutdown()
     assert started == [2]
+    assert len(maps) == 1  # the whole sweep is one task list: no barrier per point
 
 
 def test_sweep_point_failure_warns_and_continues(tmp_path):

@@ -98,6 +98,16 @@ def test_validate_zero_miners():
     assert any("num_miners" in e for e in exc.value.errors)
 
 
+def test_config_error_survives_a_pickle_round_trip():
+    # a sweep's analytic job returns its error through the worker pool
+    error = ConfigError(["num_miners must be >= 1", "tx_power_w must be positive"])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is ConfigError
+    assert copy.errors == error.errors
+    assert str(copy) == str(error) == "num_miners must be >= 1; tx_power_w must be positive"
+    assert copy.args == error.args
+
+
 def test_validate_negative_threshold():
     cfg = default_config()
     with pytest.raises(ConfigError) as exc:

@@ -344,7 +344,9 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        map = staticmethod(map)
+        @staticmethod
+        def map(fn, tasks, chunksize):
+            return map(fn, tasks)
 
         def shutdown(self):
             pass
