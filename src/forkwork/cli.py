@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 
 from .analytic import QuadratureError, evaluate
@@ -38,9 +37,7 @@ from .simulator import (
     DEFAULT_ROUND_TRIALS,
     MIN_TRIALS,
     SimulationSummary,
-    _chunk_tasks,
     _run_tasks,
-    _summary,
     estimate,
 )
 
@@ -230,13 +227,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _analytic_job(config: SystemConfig):
-    """A sweep point's analytic result, or the error that stopped it: returned,
-    not raised, so that one point's failure crosses the pool as a value."""
+def _point_job(config: SystemConfig, block_trials: int, round_trials: int):
+    """A sweep point's analytic result and simulation summary, each one the
+    error that stopped it where one did: returned, not raised, so that one
+    point's failure crosses the pool as a value."""
     try:
-        return evaluate(config)
+        result = evaluate(config)
     except (ConfigError, QuadratureError, ValueError) as exc:
-        return exc
+        result = exc
+    try:
+        summary = estimate(config, num_blocks=block_trials, num_round_trials=round_trials)
+    except (ConfigError, QuadratureError, ValueError) as exc:
+        summary = exc
+    return result, summary
 
 
 def cmd_sweep(args) -> int:
@@ -248,31 +251,24 @@ def cmd_sweep(args) -> int:
     round_trials = args.trials if args.trials is not None else round_trials
     block_trials = args.blocks if args.blocks is not None else block_trials
 
-    # one task list: each point's analytic job, then its round and block chunks
-    points, tasks = [], []
+    points = []
     for index, (label, value, cfg) in enumerate(jobs):
         # without --seed, a point's seed derives from its config's: the spec's or the default's
         base_seed = args.seed if args.seed is not None else cfg.rng_seed
         cfg = replace(cfg, rng_seed=derive_seed(base_seed, _POINT_STREAM, index))
-        try:
-            plan = _chunk_tasks(cfg, block_trials, round_trials)
-        except (ConfigError, QuadratureError, ValueError) as exc:
-            plan = exc
-        points.append((label, value, cfg, plan))
-        tasks.append((_analytic_job, cfg))
-        if not isinstance(plan, Exception):
-            tasks += plan[0]
-    results = iter(_run_tasks(tasks, args.workers))
+        points.append((label, value, cfg))
+    # one task per point, in one task list: a point runs whole in one worker
+    tasks = [(_point_job, cfg, block_trials, round_trials) for _, _, cfg in points]
+    results = _run_tasks(tasks, args.workers)
 
     lines = [SWEEP_COLUMNS]
     warnings: list[str] = []
-    for label, value, cfg, plan in points:
+    for (label, value, cfg), (result, summary) in zip(points, results):
         cells: dict[str, object] = {name: None for name in SWEEP_COLUMNS.split(",")}
         cells["param"] = label
         cells["value"] = value
         cells["seed"] = cfg.rng_seed
         cells["config_hash"] = config_digest(cfg)
-        result = next(results)
         if isinstance(result, Exception):
             warnings.append(f"{label}={value}: analytic failed: {result}")
         else:
@@ -281,11 +277,9 @@ def cmd_sweep(args) -> int:
             cells["e_s"] = result.exp_min_compute
             cells["e_tm"] = result.exp_mobility
             cells["e_tu"] = result.exp_uplink
-        if isinstance(plan, Exception):
-            warnings.append(f"{label}={value}: simulation failed: {plan}")
+        if isinstance(summary, Exception):
+            warnings.append(f"{label}={value}: simulation failed: {summary}")
         else:
-            chunks, rounds = plan
-            summary = _summary(cfg, list(islice(results, len(chunks))), rounds)
             cells["p_n_sim"] = summary.no_fork_prob.value
             cells["p_n_se"] = summary.no_fork_prob.se
             cells["energy_sim"] = summary.mean_block_energy.value
@@ -349,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=trials, default=rounds, help="independent PoW rounds")
     p_sim.add_argument("--blocks", type=trials, default=blocks, help="independent block recoveries")
     p_sim.add_argument("--seed", type=seed, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--workers", type=workers, default=1, help="worker processes")
+    p_sim.add_argument("--workers", type=workers, default=1, help="processes splitting the chunks")
     p_sim.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -361,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=trials, default=None, help="rounds per sweep point")
     p_sweep.add_argument("--blocks", type=trials, default=None, help="blocks per sweep point")
     p_sweep.add_argument("--seed", type=seed, default=None, help="base seed for point substreams")
-    p_sweep.add_argument("--workers", type=workers, default=1, help="worker processes")
+    p_sweep.add_argument("--workers", type=workers, default=1, help="processes, a whole point each")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

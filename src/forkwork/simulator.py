@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,9 +213,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), one per process
-
-
 def _call(task):
     fn, *args = task
     return fn(*args)
@@ -225,31 +221,36 @@ def _call(task):
 def _run_tasks(tasks, workers: int) -> list:
     """Every task ``(fn, *args)`` run once, results in task order.
 
-    More than one worker uses the process's one pool, sized at most the
-    CPUs this process may run on, started on first use and replaced only
-    when a different size is asked for. The list goes to the pool in one
-    ``map`` call, in about BATCHES_PER_WORKER batches per worker, so a batch
-    of small tasks pays one round trip; one worker runs the same list here.
+    More than one worker starts a pool for this list alone, sized at most
+    the CPUs this process may run on, and joins it before returning. The list
+    goes to the pool in one ``map`` call, in about BATCHES_PER_WORKER batches
+    per worker, so a batch of small tasks pays one round trip; one worker runs
+    the same list here.
     """
-    global _pool
     workers = min(workers, _cpu_count())
     if workers <= 1 or len(tasks) <= 1:
         return [_call(task) for task in tasks]
-    if _pool is None or _pool[0] != workers:
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     batch = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
-    try:
-        return list(_pool[1].map(_call, tasks, chunksize=batch))
-    except BrokenProcessPool:
-        _pool = None  # a worker died; the next call starts a new pool
-        raise
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_call, tasks, chunksize=batch))
 
 
-def _chunk_tasks(config: SystemConfig, num_blocks: int, num_round_trials: int, dist=None):
-    """The tasks of one estimate, round chunks then block chunks, and the
-    number of round chunks; ``_summary`` reduces their results."""
+def estimate(
+    config: SystemConfig,
+    num_blocks: int = DEFAULT_BLOCKS,
+    num_round_trials: int = DEFAULT_ROUND_TRIALS,
+    *,
+    workers: int = 1,
+    dist=None,
+) -> SimulationSummary:
+    """Monte Carlo estimates: fork rate from independent rounds, energy and
+    recovery length from independent blocks.
+
+    The rounds and the blocks are cut into chunks, the chunks run on
+    ``workers`` processes (see _run_tasks), and their partial sums are added
+    in chunk order. Deterministic given (config.rng_seed, config): results
+    are bit-identical across runs and across worker counts.
+    """
     if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if dist is None:
@@ -260,16 +261,12 @@ def _chunk_tasks(config: SystemConfig, num_blocks: int, num_round_trials: int, d
         (_block_chunk, config, dist, i, n)
         for i, n in enumerate(_chunk_sizes(num_blocks, BLOCK_CHUNK))
     ]
-    return tasks, len(sizes)
-
-
-def _summary(config: SystemConfig, parts: list, rounds: int) -> SimulationSummary:
-    """Sum the chunk results of ``_chunk_tasks`` in task order into estimates."""
-    totals = [sum(column) for column in zip(*parts[:rounds])]
+    parts = _run_tasks(tasks, workers)
+    totals = [sum(column) for column in zip(*parts[: len(sizes)])]
     n = totals[0]
     fork_rate = totals[1] / n
     fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
-    totals_b = [sum(column) for column in zip(*parts[rounds:])]
+    totals_b = [sum(column) for column in zip(*parts[len(sizes) :])]
     nb = totals_b[0]
     return SimulationSummary(
         fork_rate=Estimate(fork_rate, fork_se),
@@ -285,21 +282,3 @@ def _summary(config: SystemConfig, parts: list, rounds: int) -> SimulationSummar
         capped_blocks=int(totals_b[5]),
         config=config,
     )
-
-
-def estimate(
-    config: SystemConfig,
-    num_blocks: int = DEFAULT_BLOCKS,
-    num_round_trials: int = DEFAULT_ROUND_TRIALS,
-    *,
-    workers: int = 1,
-    dist=None,
-) -> SimulationSummary:
-    """Monte Carlo estimates: fork rate from independent rounds, energy and
-    recovery length from independent blocks.
-
-    Deterministic given (config.rng_seed, config): results are bit-identical
-    across runs and across worker counts.
-    """
-    tasks, rounds = _chunk_tasks(config, num_blocks, num_round_trials, dist)
-    return _summary(config, _run_tasks(tasks, workers), rounds)

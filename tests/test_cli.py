@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -525,27 +526,40 @@ def test_sweep_preset_deterministic_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _counting_pool(monkeypatch):
+    """Make the simulator's pools record their size and the task list of each
+    ``map`` call; returns those two lists."""
+    started, maps = [], []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, tasks, **kwargs):
+            maps.append(list(tasks))
+            return super().map(fn, maps[-1], **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    return started, maps
+
+
 def test_sweep_preset_fig4_bytes_hold_at_workers_1_2_4(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulator, "_pool", None)
+    started, _ = _counting_pool(monkeypatch)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 4)  # 4 workers really start
     args = ["sweep", "--preset", "fig4", "--trials", "800", "--blocks", "100"]
     tables = []
-    try:
-        for workers in (1, 2, 4):
-            out = tmp_path / f"w{workers}.csv"
-            assert cli.main(args + ["--out", str(out), "--workers", str(workers)]) == 0
-            tables.append(out.read_bytes())
-        assert simulator._pool[0] == 4
-    finally:
-        if simulator._pool is not None:
-            simulator._pool[1].shutdown()
+    for workers in (1, 2, 4):
+        out = tmp_path / f"w{workers}.csv"
+        assert cli.main(args + ["--out", str(out), "--workers", str(workers)]) == 0
+        tables.append(out.read_bytes())
+    assert started == [2, 4]
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
     # fast compute on a short link: the analytic error budget fails at every
     # point, and each warning carries a QuadratureError back from a worker
-    monkeypatch.setattr(simulator, "_pool", None)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     base = [
         line
@@ -560,14 +574,10 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
         + "round_trials = 1000\nblock_trials = 100\n"
     )
     outputs = []
-    try:
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
-            assert cli.main(["sweep", str(spec), "--out", str(out), "--workers", str(workers)]) == 0
-            outputs.append((out.read_bytes(), Path(f"{out}.warnings").read_text()))
-    finally:
-        if simulator._pool is not None:
-            simulator._pool[1].shutdown()
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        assert cli.main(["sweep", str(spec), "--out", str(out), "--workers", str(workers)]) == 0
+        outputs.append((out.read_bytes(), Path(f"{out}.warnings").read_text()))
     assert outputs[1] == outputs[0]
     warnings = outputs[0][1].splitlines()
     assert len(warnings) == 2
@@ -576,23 +586,7 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
 
 
 def test_sweep_starts_one_pool(tmp_path, monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from forkwork import simulator
-
-    started, maps = [], []
-
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-        def map(self, fn, *iterables, **kwargs):
-            maps.append(fn)
-            return super().map(fn, *iterables, **kwargs)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(simulator, "_pool", None)
+    started, maps = _counting_pool(monkeypatch)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     # two round chunks and two block chunks per point, three points
     spec = _sweep_file(
@@ -601,34 +595,43 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
         "sweep_values = 2, 5, 10\n"
         "round_trials = 8192\nblock_trials = 512\n",
     )
-    try:
-        assert cli.main(["sweep", spec, "--workers", "2", "--out", str(tmp_path / "t.csv")]) == 0
-    finally:
-        if simulator._pool is not None:
-            simulator._pool[1].shutdown()
+    assert cli.main(["sweep", spec, "--workers", "2", "--out", str(tmp_path / "t.csv")]) == 0
     assert started == [2]
     assert len(maps) == 1  # the whole sweep is one task list: no barrier per point
+    assert len(maps[0]) == 3  # one task per point, chunks and all
+    one_point = _sweep_file(
+        tmp_path,
+        "sweep_param = num_miners\nsweep_values = 5\nround_trials = 8192\nblock_trials = 512\n",
+    )
+    assert cli.main(["sweep", one_point, "--workers", "2", "--out", str(tmp_path / "1.csv")]) == 0
+    assert started == [2] and len(maps) == 1  # one task runs here: no pool
 
 
-def test_sweep_point_failure_warns_and_continues(tmp_path):
-    # 250 dB threshold kills the location success probability at that point
+def test_sweep_point_failure_warns_and_continues(tmp_path, monkeypatch):
+    # 250 dB threshold kills the location success probability at that point;
+    # at 2 workers both errors come back from inside a worker
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     spec = _sweep_file(
         tmp_path,
         "sweep_param = snr_threshold_db\n"
         "sweep_values = 60, 250\n"
         "round_trials = 1000\nblock_trials = 100\n",
     )
-    out = tmp_path / "partial.csv"
-    assert cli.main(["sweep", spec, "--out", str(out)]) == 0
-    _, rows = _rows(out.read_text())
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"partial{workers}.csv"
+        assert cli.main(["sweep", spec, "--out", str(out), "--workers", str(workers)]) == 0
+        sidecar = tmp_path / f"partial{workers}.csv.warnings"
+        assert sidecar.exists()
+        outputs.append((out.read_bytes(), sidecar.read_bytes()))
+    assert outputs[1] == outputs[0]
+    _, rows = _rows(outputs[0][0].decode())
     assert len(rows) == 2
     assert rows[0]["p_n_analytic"] != ""
     assert rows[1]["p_n_analytic"] == ""
     assert rows[1]["p_n_sim"] == ""
     assert rows[1]["seed"] != ""
-    sidecar = tmp_path / "partial.csv.warnings"
-    assert sidecar.exists()
-    assert "snr_threshold_db=250" in sidecar.read_text()
+    assert b"snr_threshold_db=250" in outputs[0][1]
 
 
 def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):

@@ -313,24 +313,30 @@ def test_estimate_deterministic_across_worker_counts():
 
 def test_dead_worker_pool_is_replaced(monkeypatch):
     import os
-    import signal
+    import threading
+    from concurrent.futures.process import BrokenProcessPool
 
     from forkwork import simulator
 
-    monkeypatch.setattr(simulator, "_pool", None)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
+    raised = []
+
+    def run_dying_list():
+        try:
+            simulator._run_tasks([(os._exit, 1), (abs, -1)], workers=2)
+        except BrokenProcessPool as exc:
+            raised.append(exc)
+
+    # a thread, so that a hang fails the test instead of stalling the suite
+    runner = threading.Thread(target=run_dying_list, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a dead worker hung its task list"
+    assert len(raised) == 1
+    # the next task list starts its own pool
     cfg = default_config(num_miners=5)
-    sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK, workers=2)
-    try:
-        before = estimate(cfg, **sizes)
-        for process in list(simulator._pool[1]._processes.values()):
-            os.kill(process.pid, signal.SIGKILL)
-        with pytest.raises(simulator.BrokenProcessPool):
-            estimate(cfg, **sizes)
-        assert estimate(cfg, **sizes) == before
-    finally:
-        if simulator._pool is not None:
-            simulator._pool[1].shutdown()
+    sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)
+    assert estimate(cfg, workers=2, **sizes) == estimate(cfg, **sizes)
 
 
 def test_pool_size_capped_at_cpu_count(monkeypatch):
@@ -344,15 +350,17 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
         @staticmethod
         def map(fn, tasks, chunksize):
             return map(fn, tasks)
 
-        def shutdown(self):
-            pass
-
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(simulator, "_pool", None)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 3)
     cfg = default_config(num_miners=5)
     sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)
