@@ -8,82 +8,38 @@ first ACK to arrive. It provides closed-form/quadrature answers
 (:func:`evaluate`, :func:`no_forking_probability`) and a bit-reproducible
 Monte Carlo simulator (:func:`estimate`) that cross-validate each other,
 plus a CLI (``forkwork``) that reproduces the standard parameter sweeps.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import forkwork`` alone loads no numpy.
 """
 
-from .analytic import (
-    QuadratureError,
-    evaluate,
-    expected_min_compute_latency,
-    expected_mobility_latency,
-    expected_uplink_latency,
-    integrate_adaptive,
-    no_forking_probability,
-    survival_prob,
-)
-from .channel import (
-    DiscreteLatency,
-    LatencyDistribution,
-    derive_seed,
-    substream,
-    uplink_latency,
-)
-from .model import (
-    AnalyticResult,
-    ChannelParams,
-    ConfigError,
-    DerivedParams,
-    LatencyModel,
-    MinerParams,
-    SystemConfig,
-    config_digest,
-    config_text,
-    default_channel,
-    default_config,
-    default_miner,
-    derive,
-    load_config,
-    mean_snr,
-    parse_config_text,
-)
-from .simulator import (
-    Estimate,
-    SimulationSummary,
-    estimate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticResult",
-    "ChannelParams",
-    "ConfigError",
-    "DerivedParams",
-    "DiscreteLatency",
-    "Estimate",
-    "LatencyDistribution",
-    "LatencyModel",
-    "MinerParams",
-    "QuadratureError",
-    "SimulationSummary",
-    "SystemConfig",
-    "config_digest",
-    "config_text",
-    "default_channel",
-    "default_config",
-    "default_miner",
-    "derive",
-    "derive_seed",
-    "estimate",
-    "evaluate",
-    "expected_min_compute_latency",
-    "expected_mobility_latency",
-    "expected_uplink_latency",
-    "integrate_adaptive",
-    "load_config",
-    "mean_snr",
-    "no_forking_probability",
-    "parse_config_text",
-    "substream",
-    "survival_prob",
-    "uplink_latency",
-]
+# each module and the public names it defines
+_EXPORTS = {
+    "analytic": """QuadratureError evaluate expected_min_compute_latency
+        expected_mobility_latency expected_uplink_latency integrate_adaptive
+        no_forking_probability survival_prob""",
+    "channel": "DiscreteLatency LatencyDistribution derive_seed substream uplink_latency",
+    "model": """AnalyticResult ChannelParams ConfigError DerivedParams LatencyModel
+        MinerParams SystemConfig config_digest config_text default_channel default_config
+        default_miner derive load_config mean_snr parse_config_text""",
+    "simulator": "Estimate SimulationSummary estimate",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -105,7 +105,8 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
     if not b > a:
         return 0.0, 0.0
 
-    edges = np.unique(np.concatenate(([a, b], [x for x in points if a < x < b])))
+    # sorted and de-duplicated without np.unique, whose first call imports numpy.ma
+    edges = np.array(sorted({a, b, *(x for x in points if a < x < b)}), dtype=float)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     coarse, left, right = np.split(

@@ -11,9 +11,15 @@ re-derived independently.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# One BLAS thread for the command line, set before the package imports numpy:
+# no matrix product here is large enough to use more. A value the user set
+# wins, and a library user who never imports this module keeps their own.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import QuadratureError, evaluate
 from .channel import derive_seed

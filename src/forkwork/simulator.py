@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +229,8 @@ def _run_tasks(tasks, workers: int) -> list:
     workers = min(workers, _cpu_count())
     if workers <= 1 or len(tasks) <= 1:
         return [_call(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
     batch = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_call, tasks, chunksize=batch))

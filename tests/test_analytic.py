@@ -132,6 +132,26 @@ def test_integrator_breakpoints_split_the_range():
     assert calls == [2 * 3 * 20]  # two intervals, three panels each, one call
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        (0.7, 0.2, 0.45, 0.2, 0.7, 0.7),  # unsorted, repeated
+        (np.float64(0.45), 0.2, 0.7, 0.45),  # numpy and Python floats of one value
+        (-1.0, 0.0, 0.2, 1.0, 0.45, 3.0, float("nan"), 0.7, float("inf")),  # out of range
+        np.array([0.7, 0.45, 0.2, 0.2]),
+    ],
+)
+def test_integrator_breakpoints_sorted_and_deduplicated(points):
+    # kinks at 0.2, 0.45 and 0.7: the breakpoints as given split the range
+    # exactly as the sorted, de-duplicated ones do, to the last bit
+    def f(x):
+        return np.abs(x - 0.2) * np.abs(x - 0.45) + np.sqrt(np.abs(x - 0.7))
+
+    expected = integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-12, points=(0.2, 0.45, 0.7))
+    assert integrate_adaptive(f, 0.0, 1.0, rel_tol=1e-12, points=points) == expected
+    assert integrate_adaptive(f, 0, 1, rel_tol=1e-12, points=points) == expected  # int limits
+
+
 def test_integrator_empty_interval():
     assert integrate_adaptive(np.sin, 1.0, 1.0, rel_tol=1e-8) == (0.0, 0.0)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -528,7 +529,8 @@ def test_sweep_preset_deterministic_across_workers(tmp_path):
 
 def _counting_pool(monkeypatch):
     """Make the simulator's pools record their size and the task list of each
-    ``map`` call; returns those two lists."""
+    ``map`` call; returns those two lists. The simulator imports the pool
+    class from ``concurrent.futures`` when it starts one, so it is patched there."""
     started, maps = [], []
 
     class CountingPool(ProcessPoolExecutor):
@@ -540,7 +542,7 @@ def _counting_pool(monkeypatch):
             maps.append(list(tasks))
             return super().map(fn, maps[-1], **kwargs)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return started, maps
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -360,7 +361,7 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def map(fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # read at pool start
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 3)
     cfg = default_config(num_miners=5)
     sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)

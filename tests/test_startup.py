@@ -1,0 +1,100 @@
+"""What a fresh process loads: ``import forkwork`` alone loads no numpy, a CLI
+command loads no pool machinery and no ``numpy.ma`` it does not use, and the
+CLI caps the BLAS threads before numpy loads. Each check runs in a child
+interpreter, since this process has long since imported all of it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import forkwork
+from forkwork.model import config_text, default_config
+
+PACKAGE_ROOT = str(Path(forkwork.__file__).resolve().parents[1])
+
+
+def _child(code, *, env=None):
+    """stdout of ``python -c code`` run with this package first on its path and
+    OPENBLAS_NUM_THREADS set as ``env`` says (absent if not given)."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join([PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**base, **(env or {}), "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_forkwork_loads_no_numpy():
+    code = "import sys, forkwork; print('numpy' in sys.modules)"
+    assert _child(code) == "False\n"
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    # in a fresh process: dir() lists every export before any is loaded
+    code = (
+        "import sys, forkwork\n"
+        "missing = set(forkwork.__all__) - set(dir(forkwork))\n"
+        "print(sorted(missing), 'numpy' in sys.modules)\n"
+        "for name in forkwork.__all__: getattr(forkwork, name)\n"
+    )
+    assert _child(code) == "[] False\n"
+    for name in forkwork.__all__:
+        module = sys.modules[getattr(forkwork, name).__module__]
+        assert module.__name__.startswith("forkwork.") and getattr(module, name) is getattr(forkwork, name)
+    assert {"__version__", "evaluate"} <= set(dir(forkwork))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        forkwork.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["analytic"], ["simulate", "--trials", "2000", "--blocks", "100", "--workers", "1"]],
+    ids=["analytic", "simulate-1-worker"],
+)
+def test_cli_command_loads_no_pool_machinery_or_numpy_ma(tmp_path, args):
+    config = tmp_path / "config.txt"
+    config.write_text(config_text(default_config()))
+    out = tmp_path / "out.csv"
+    command = [args[0], str(config), *args[1:], "--out", str(out)]
+    code = (
+        "import sys\n"
+        "from forkwork.cli import main\n"
+        f"assert main({command!r}) == 0\n"
+        "unused = ('multiprocessing', 'concurrent.futures.process', 'numpy.ma')\n"
+        "print(sorted(m for m in unused if m in sys.modules))\n"
+    )
+    assert _child(code) == "[]\n"
+    assert out.read_text().count("\n") == 2  # the command ran: header and one row
+
+
+# Records the value of OPENBLAS_NUM_THREADS at the moment numpy is first
+# imported, which is when OpenBLAS reads it.
+_WATCH_NUMPY = """
+import os, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Watch())
+"""
+
+
+@pytest.mark.parametrize("user_value, numpy_sees", [(None, "1"), ("2", "2")])
+def test_cli_caps_blas_threads_before_numpy_loads(user_value, numpy_sees):
+    env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
+    code = _WATCH_NUMPY + "import forkwork.cli\nprint(seen)\n"
+    assert _child(code, env=env) == f"[{numpy_sees!r}]\n"
+
+
+def test_library_import_leaves_blas_threads_alone():
+    code = _WATCH_NUMPY + "import forkwork\nforkwork.evaluate\nprint(seen)\n"
+    assert _child(code) == "[None]\n"
