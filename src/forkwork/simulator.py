@@ -27,12 +27,10 @@ __all__ = [
     "SimulationSummary",
     "estimate",
     "ROUND_CHUNK",
-    "BLOCK_CHUNK",
     "MIN_TRIALS",
 ]
 
 ROUND_CHUNK = 4096
-BLOCK_CHUNK = 256
 MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
 DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
 MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
@@ -120,8 +118,9 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
 
 
 def _rows(limit: int, num_miners: int) -> int:
-    """Rounds per _race call: ``limit``, cut so that rounds x miners <= 2^20 and
-    memory does not grow with I. Depends on I alone, so results stay reproducible."""
+    """Rounds, or blocks, per chunk: ``limit``, cut so that rounds x miners <= 2^20.
+    A _race call races at most one chunk's rounds, so memory does not grow with I.
+    Depends on I alone, so results stay reproducible."""
     return max(1, min(limit, (1 << 20) // num_miners))
 
 
@@ -140,50 +139,29 @@ def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds
 
     A block races rounds until one commits without forking, or until
     ``max_rounds`` rounds have all forked (a capped block, flagged, never
-    silent); every round's winner energy counts, the committing one too.
-    Rounds are i.i.d., so the chunk draws one round stream in batches from its
-    substream and cuts it into blocks; the open block carries over to the next
-    batch. A batch is the blocks still needed times the rounds drawn per block
-    so far (at least 1), floor 64, cut by _rows: the first one is ``count``
-    rounds, since a block takes at least one. The sizes follow from the
-    substream alone, so they are the same for every worker count. Rounds after
-    the last block are unused.
+    silent); every round's winner energy counts, the committing one too. Each
+    step races one round for every block still open, in block order, in one
+    _race call on the chunk's substream, and keeps open the blocks whose round
+    forked. No round is drawn that no block uses, and the steps follow from the
+    substream alone, so they are the same for every worker count.
     """
     rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
-    rounds, energy, capped = [], [], []
-    open_rounds, open_energy, done, drawn = 0, 0.0, 0, 0
-    while done < count:
-        per_block = max(1, drawn / max(done, 1))
-        batch = _rows(max(64, math.ceil((count - done) * per_block)), config.num_miners)
-        drawn += batch
-        index = np.arange(1, batch + 1)
-        forked, win_energy = _race(rng, config, dist, batch)[:2]
-        # rounds since the last commit, the open block's included; a run of
-        # forks is cut into capped blocks at every multiple of max_rounds
-        commits = np.maximum.accumulate(np.where(forked, -open_rounds, index))
-        since = index - np.concatenate(([-open_rounds], commits[:-1]))
-        ends = np.flatnonzero(~forked | (since % max_rounds == 0))[: count - done]
-        if ends.size == 0:
-            open_rounds += batch
-            open_energy += float(win_energy.sum())
-            continue
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        block_rounds = ends - starts + 1
-        block_rounds[0] += open_rounds
-        block_energy = np.add.reduceat(win_energy[: ends[-1] + 1], starts)
-        block_energy[0] += open_energy
-        rounds.append(block_rounds)
-        energy.append(block_energy)
-        capped.append(forked[ends])
-        open_rounds = batch - 1 - int(ends[-1])
-        open_energy = float(win_energy[ends[-1] + 1 :].sum())
-        done += ends.size
-    return np.concatenate(rounds), np.concatenate(energy), np.concatenate(capped)
+    rounds, energy = np.zeros(count, dtype=np.int64), np.zeros(count)
+    lanes = np.arange(count)  # the open blocks
+    for _ in range(max_rounds):
+        forked, win_energy = _race(rng, config, dist, lanes.size)[:2]
+        rounds[lanes] += 1
+        energy[lanes] += win_energy
+        lanes = lanes[forked]
+        if lanes.size == 0:
+            break
+    capped = np.zeros(count, dtype=bool)
+    capped[lanes] = True
+    return rounds, energy, capped
 
 
 def _block_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
     rounds, energy, capped = _blocks(config, dist, chunk_index, count, MAX_ROUNDS)
-    rounds = rounds.astype(float)
     return (
         count,
         float(rounds.sum()),
@@ -247,21 +225,21 @@ def estimate(
     """Monte Carlo estimates: fork rate from independent rounds, energy and
     recovery length from independent blocks.
 
-    The rounds and the blocks are cut into chunks, the chunks run on
-    ``workers`` processes (see _run_tasks), and their partial sums are added
-    in chunk order. Deterministic given (config.rng_seed, config): results
-    are bit-identical across runs and across worker counts.
+    The rounds and the blocks are cut into chunks of _rows(ROUND_CHUNK, I)
+    rounds or blocks each, the chunks run on ``workers`` processes (see
+    _run_tasks), and their partial sums are added in chunk order.
+    Deterministic given (config.rng_seed, config): results are bit-identical
+    across runs and across worker counts.
     """
     if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if dist is None:
         dist = LatencyDistribution.from_config(config)
-    sizes = _chunk_sizes(num_round_trials, _rows(ROUND_CHUNK, config.num_miners))
+    chunk = _rows(ROUND_CHUNK, config.num_miners)
+    sizes = _chunk_sizes(num_round_trials, chunk)
     tasks = [(_round_chunk, config, dist, i, n) for i, n in enumerate(sizes)]
-    tasks += [
-        (_block_chunk, config, dist, i, n)
-        for i, n in enumerate(_chunk_sizes(num_blocks, BLOCK_CHUNK))
-    ]
+    blocks = _chunk_sizes(num_blocks, chunk)
+    tasks += [(_block_chunk, config, dist, i, n) for i, n in enumerate(blocks)]
     parts = _run_tasks(tasks, workers)
     totals = [sum(column) for column in zip(*parts[: len(sizes)])]
     n = totals[0]

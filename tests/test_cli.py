@@ -281,48 +281,48 @@ def test_simulate_worker_count_does_not_change_bytes(tmp_path):
 
 
 # The simulated columns of two small CSVs, to 12 digits. They pin the random
-# stream: substreams, chunk and batch sizes, the race kernel's draw order and
-# the samplers. A stream change moves them by far more than the 1e-9 relative
-# allowance, which only absorbs last-bit differences of another numpy build,
-# libm or SIMD path; it must update them and name the columns whose bytes
-# moved in CHANGES.md. The analytic columns are not pinned here.
+# stream: substreams, chunk sizes, the block chunks' steps, the race kernel's
+# draw order and the samplers. A stream change moves them by far more than the
+# 1e-9 relative allowance, which only absorbs last-bit differences of another
+# numpy build, libm or SIMD path; it must update them and name the columns
+# whose bytes moved in CHANGES.md. The analytic columns are not pinned here.
 STREAM_SIMULATE = {
     "fork_rate": 0.0136, "p_n": 0.9864, "p_n_se": 0.00163798901095,
-    "rounds_mean": 1.01333333333, "rounds_se": 0.00663313753541,
-    "energy_mean": 5.33486129147, "energy_se": 0.253207623368,
+    "rounds_mean": 1.01113636364, "rounds_se": 0.00158220562507,
+    "energy_mean": 4.70270787891, "energy_se": 0.062279978966,
     "s_mean": 0.512240830642, "tm_mean": 0.01051375, "tu_mean": 0.239002748306,
     "system_energy_mean": 35.1178075779, "capped_blocks": 0.0,
 }
 STREAM_FIG4_COLUMNS = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
 STREAM_FIG4 = [
-    (0.9805, 0.00309190475274, 2.29764212778, 0.228788019451, 1.02),
-    (0.981, 0.00305278561317, 2.71355499601, 0.256275318043, 1.04),
-    (0.978, 0.00327993902382, 2.74412404511, 0.276070830278, 1.01),
-    (0.976, 0.00342227994179, 2.87670407677, 0.248285043868, 1.01),
-    (0.9825, 0.00293204280323, 2.78038241316, 0.259807932527, 1.01),
-    (0.9795, 0.00316857617866, 3.20393549699, 0.281125473647, 1.01),
-    (0.9775, 0.00331615364542, 2.59432877381, 0.205786416894, 1.06),
-    (0.979, 0.00320616593457, 2.71310486138, 0.24187253229, 1.02),
-    (0.979, 0.00320616593457, 2.63332784211, 0.25923248438, 1.01),
-    (0.9805, 0.00309190475274, 3.08045658309, 0.273137140495, 1.04),
-    (0.941, 0.00526872849936, 4.37283403559, 0.409469019026, 1.06),
+    (0.9805, 0.00309190475274, 2.29452334979, 0.224874763994, 1.02),
+    (0.981, 0.00305278561317, 2.7339140495, 0.25073991524, 1.05),
+    (0.978, 0.00327993902382, 2.74099601577, 0.27563368433, 1.01),
+    (0.976, 0.00342227994179, 2.88106386686, 0.251546381514, 1.02),
+    (0.9825, 0.00293204280323, 2.78062165884, 0.251830698713, 1.01),
+    (0.9795, 0.00316857617866, 3.20393413868, 0.278062989032, 1.01),
+    (0.9775, 0.00331615364542, 2.62607433973, 0.207958988847, 1.07),
+    (0.979, 0.00320616593457, 2.716191826, 0.238921718236, 1.02),
+    (0.979, 0.00320616593457, 2.63649303771, 0.259221772077, 1.01),
+    (0.9805, 0.00309190475274, 3.07816896847, 0.31698385191, 1.04),
+    (0.941, 0.00526872849936, 4.34470617183, 0.346051006327, 1.06),
     (0.9775, 0.00331615364542, 3.24183238005, 0.256502401333, 1.0),
-    (0.9825, 0.00293204280323, 2.59890788388, 0.237933383154, 1.03),
-    (0.986, 0.00262716577322, 2.78399477604, 0.243585457325, 1.02),
-    (0.977, 0.00335193973693, 2.61747104317, 0.230181242001, 1.04),
-    (0.73, 0.00992723526466, 24.2541424134, 3.1689190221, 1.36),
-    (0.9445, 0.0051195580864, 4.69904695351, 0.350982902193, 1.06),
-    (0.9795, 0.00316857617866, 3.00175058329, 0.262147751664, 1.02),
+    (0.9825, 0.00293204280323, 2.58955009501, 0.240070017687, 1.03),
+    (0.986, 0.00262716577322, 2.7778318818, 0.245994447364, 1.02),
+    (0.977, 0.00335193973693, 2.6176401829, 0.233741596409, 1.04),
+    (0.73, 0.00992723526466, 23.9540565232, 3.03935468793, 1.37),
+    (0.9445, 0.0051195580864, 4.80063529393, 0.352565875383, 1.06),
+    (0.9795, 0.00316857617866, 3.00174859447, 0.271621465374, 1.02),
     (0.985, 0.00271799558499, 2.59471001404, 0.200964605633, 1.0),
-    (0.9855, 0.00267298989897, 3.21330908062, 0.313309974284, 1.03),
+    (0.9855, 0.00267298989897, 3.21027201888, 0.314849748527, 1.03),
 ]
 
 
 def test_stream_golden_values(tmp_path):
     path = _write_config(tmp_path, default_config(num_miners=6))
     sim, sweep = tmp_path / "sim.csv", tmp_path / "fig4.csv"
-    # two round chunks and two block chunks
-    simulate = ["simulate", path, "--trials", "5000", "--blocks", "300", "--out", str(sim)]
+    # two round chunks and two block chunks: 4096 each, then the rest
+    simulate = ["simulate", path, "--trials", "5000", "--blocks", "4400", "--out", str(sim)]
     fig4 = ["sweep", "--preset", "fig4", "--trials", "2000", "--blocks", "100", "--out", str(sweep)]
     assert cli.main(simulate) == 0
     assert cli.main(fig4) == 0
@@ -595,7 +595,7 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
         tmp_path,
         "sweep_param = num_miners\n"
         "sweep_values = 2, 5, 10\n"
-        "round_trials = 8192\nblock_trials = 512\n",
+        "round_trials = 8192\nblock_trials = 8192\n",
     )
     assert cli.main(["sweep", spec, "--workers", "2", "--out", str(tmp_path / "t.csv")]) == 0
     assert started == [2]
@@ -603,7 +603,7 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
     assert len(maps[0]) == 3  # one task per point, chunks and all
     one_point = _sweep_file(
         tmp_path,
-        "sweep_param = num_miners\nsweep_values = 5\nround_trials = 8192\nblock_trials = 512\n",
+        "sweep_param = num_miners\nsweep_values = 5\nround_trials = 8192\nblock_trials = 8192\n",
     )
     assert cli.main(["sweep", one_point, "--workers", "2", "--out", str(tmp_path / "1.csv")]) == 0
     assert started == [2] and len(maps) == 1  # one task runs here: no pool

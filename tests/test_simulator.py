@@ -12,14 +12,7 @@ from forkwork import simulator
 from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config
-from forkwork.simulator import (
-    BLOCK_CHUNK,
-    ROUND_CHUNK,
-    _blocks,
-    _race,
-    _rows,
-    estimate,
-)
+from forkwork.simulator import MAX_ROUNDS, ROUND_CHUNK, _blocks, _race, _rows, estimate
 
 TWO_ATOMS = DiscreteLatency(atoms=(0.0, 50.0), weights=(0.5, 0.5))
 
@@ -213,30 +206,26 @@ def test_block_cap_flags_with_max_rounds_one(monkeypatch):
     assert 0 < s.capped_blocks < s.block_trials  # forks happen with this hook, but not always
 
 
-def _round_loop_blocks(cfg, dist, chunk_index, count, max_rounds):
-    """The block substream judged one round at a time: a list of (start round,
-    rounds, energy, capped) per block, and the start round of each batch drawn.
-    A batch is the blocks still needed times the rounds per block drawn so far
-    (at least 1), floor 64, cut by _rows."""
+def _lane_oracle(cfg, dist, chunk_index, count, max_rounds):
+    """The block substream judged one block at a time: a list of [rounds,
+    energy, capped] per block. Each step races one round for every open block,
+    in block order; a block closes on a commit or at the cap."""
     rng = substream(cfg.rng_seed, 1, chunk_index)
-    blocks, batch_starts = [], []
-    start = rounds = position = 0
-    energy = 0.0
-    while len(blocks) < count:
-        done = len(blocks)
-        batch = max(64, math.ceil((count - done) * max(1, position / max(done, 1))))
-        batch_starts.append(position)
-        forked, win_energy = _race(rng, cfg, dist, _rows(batch, cfg.num_miners))[:2]
-        for f, e in zip(forked, win_energy):
-            rounds += 1
-            energy += e
-            position += 1
-            if not f or rounds == max_rounds:
-                blocks.append((start, rounds, energy, bool(f)))
-                start, rounds, energy = position, 0, 0.0
-                if len(blocks) == count:
-                    break
-    return blocks, batch_starts
+    blocks = [[0, 0.0, False] for _ in range(count)]
+    lanes = list(range(count))
+    while lanes:
+        forked, win_energy = _race(rng, cfg, dist, len(lanes))[:2]
+        still_open = []
+        for lane, f, e in zip(lanes, forked, win_energy):
+            block = blocks[lane]
+            block[0] += 1
+            block[1] += e
+            if f and block[0] == max_rounds:
+                block[2] = True
+            elif f:
+                still_open.append(lane)
+        lanes = still_open
+    return blocks
 
 
 class _WideLatency:
@@ -247,43 +236,56 @@ class _WideLatency:
         return np.zeros(t.shape, dtype=np.int64), t, t
 
 
-# short-cap: a round forks with probability 7/16, so a batch boundary falls inside
-# a block with probability about 0.3; this seed's one boundary does.
+# short-cap: a round forks with probability 7/16, so about a fifth of the blocks
+# reach the cap of 2; long-blocks: about 500 rounds per block against a cap of 1100
 @pytest.mark.parametrize(
     "miners, dist, count, max_rounds",
-    [(4, TWO_ATOMS, 6000, 2), (500, _WideLatency(), 12, 1100), (4096, TWO_ATOMS, 600, 2)],
-    ids=["short-cap", "long-blocks", "small-batch"],
+    [(4, TWO_ATOMS, 6000, 2), (500, _WideLatency(), 12, 1100)],
+    ids=["short-cap", "long-blocks"],
 )
-def test_block_splitter_matches_round_loop(miners, dist, count, max_rounds):
+def test_block_lanes_match_python_oracle(miners, dist, count, max_rounds):
     cfg = default_config(num_miners=miners)
     rounds, energy, capped = _blocks(cfg, dist, 3, count, max_rounds)
-    expected, batch_starts = _round_loop_blocks(cfg, dist, 3, count, max_rounds)
-    assert rounds.tolist() == [b[1] for b in expected]
-    assert capped.tolist() == [b[3] for b in expected]
-    np.testing.assert_allclose(energy, [b[2] for b in expected], rtol=1e-12)
-    # the cases the split must get right are present
-    assert len(batch_starts) > 1
-    if miners > 2048:  # _rows cuts the first batch, of `count` rounds, to 2^20 // I
-        assert batch_starts[1] == (1 << 20) // miners < count
+    expected = _lane_oracle(cfg, dist, 3, count, max_rounds)
+    assert rounds.tolist() == [b[0] for b in expected]
+    assert capped.tolist() == [b[2] for b in expected]
+    np.testing.assert_allclose(energy, [b[1] for b in expected], rtol=1e-12)
+    # the cases the lanes must get right are present: capped and committed
+    # blocks, and a block open for more than one step
+    assert any(b[2] for b in expected) and not all(b[2] for b in expected)
+    assert any(b[0] > 1 for b in expected)
 
-    def batch_of(position):
-        return int(np.searchsorted(batch_starts, position, side="right")) - 1
 
-    assert any(batch_of(b[0]) != batch_of(b[0] + b[1] - 1) for b in expected)
-    # a run of forks longer than the cap: a capped block, then one that starts with a fork
-    assert any(a[3] and (b[1] > 1 or b[3]) for a, b in zip(expected, expected[1:]))
-    assert not all(b[3] for b in expected)
-    if max_rounds > 64:
-        # a batch with no block end, before the last batch used: the open block carries over
-        end_batches = {batch_of(b[0] + b[1] - 1) for b in expected}
-        assert set(range(max(end_batches))) - end_batches
+@pytest.mark.parametrize(
+    "cfg, dist",
+    [
+        (default_config(20, tx_power_w=0.1, snr_fraction=6.0), None),  # p_n about 0.29
+        (default_config(num_miners=4), TWO_ATOMS),
+    ],
+    ids=["forky", "two-atoms"],
+)
+def test_block_chunk_draws_only_the_rounds_its_blocks_use(monkeypatch, cfg, dist):
+    dist = dist or LatencyDistribution.from_config(cfg)
+    count = _rows(ROUND_CHUNK, cfg.num_miners)
+    longest = int(_blocks(cfg, dist, 0, count, MAX_ROUNDS)[0].max())
+    drawn = []
+
+    def counting_race(rng, config, dist, rounds):
+        drawn.append(rounds)
+        return _race(rng, config, dist, rounds)
+
+    monkeypatch.setattr(simulator, "_race", counting_race)
+    _, used, *_ = simulator._block_chunk(cfg, dist, 0, count)
+    assert sum(drawn) == used
+    assert 1 < len(drawn) <= longest
 
 
 def test_estimate_memory_bounded_in_miner_count():
     cfg = default_config(num_miners=8000)
     tracemalloc.start()
     try:
-        estimate(cfg, num_blocks=100, num_round_trials=100)
+        # 300 blocks: three block chunks of 2^20 // 8000 = 131
+        estimate(cfg, num_blocks=300, num_round_trials=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,7 +338,7 @@ def test_dead_worker_pool_is_replaced(monkeypatch):
     assert len(raised) == 1
     # the next task list starts its own pool
     cfg = default_config(num_miners=5)
-    sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)
+    sizes = dict(num_blocks=2 * ROUND_CHUNK, num_round_trials=2 * ROUND_CHUNK)
     assert estimate(cfg, workers=2, **sizes) == estimate(cfg, **sizes)
 
 
@@ -364,7 +366,7 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # read at pool start
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 3)
     cfg = default_config(num_miners=5)
-    sizes = dict(num_blocks=2 * BLOCK_CHUNK, num_round_trials=2 * ROUND_CHUNK)
+    sizes = dict(num_blocks=2 * ROUND_CHUNK, num_round_trials=2 * ROUND_CHUNK)
     serial = estimate(cfg, **sizes)
     assert estimate(cfg, workers=10**6, **sizes) == serial
     assert estimate(cfg, workers=2, **sizes) == serial
@@ -471,5 +473,5 @@ def test_estimate_same_for_one_and_two_workers(
         rng_seed=seed,
     )
     # two chunks of each kind, so the two-worker run goes through the pool
-    sizes = dict(num_blocks=BLOCK_CHUNK + 100, num_round_trials=ROUND_CHUNK + 100)
+    sizes = dict(num_blocks=ROUND_CHUNK + 100, num_round_trials=ROUND_CHUNK + 100)
     assert estimate(cfg, **sizes, workers=1) == estimate(cfg, **sizes, workers=2)
