@@ -25,7 +25,6 @@ from .analytic import QuadratureError, evaluate
 from .channel import derive_seed
 from .model import (
     CONFIG_KEYS,
-    AnalyticResult,
     ConfigError,
     SystemConfig,
     config_digest,
@@ -42,7 +41,6 @@ from .simulator import (
     DEFAULT_BLOCKS,
     DEFAULT_ROUND_TRIALS,
     MIN_TRIALS,
-    SimulationSummary,
     _run_tasks,
     estimate,
 )
@@ -55,18 +53,51 @@ EXIT_QUADRATURE = 2
 
 _POINT_STREAM = 2
 
-ANALYTIC_COLUMNS = (
-    "p_n,p_n_err,e_s,e_tm,e_tu,energy_round,energy_block,seed,config_hash"
-)
-SIMULATE_COLUMNS = (
-    "fork_rate,p_n,p_n_se,rounds_mean,rounds_se,energy_mean,energy_se,"
-    "s_mean,tm_mean,tu_mean,system_energy_mean,capped_blocks,round_trials,"
-    "block_trials,seed,config_hash"
-)
-SWEEP_COLUMNS = (
-    "param,value,p_n_analytic,p_n_sim,p_n_se,energy_analytic,energy_sim,"
-    "energy_se,rounds_mean,e_s,e_tm,e_tu,seed,config_hash"
-)
+# Each CSV's columns in order, each mapped to the dotted path of the value it
+# prints, from a source that _row is given. A new column is one entry here.
+_PROVENANCE = {"seed": "config.rng_seed", "config_hash": "digest"}
+ANALYTIC_SCHEMA = {
+    "p_n": "result.no_fork_prob",
+    "p_n_err": "result.quadrature_error",
+    "e_s": "result.exp_min_compute",
+    "e_tm": "result.exp_mobility",
+    "e_tu": "result.exp_uplink",
+    "energy_round": "result.exp_round_energy",
+    "energy_block": "result.avg_block_energy",
+    **_PROVENANCE,
+}
+SIMULATE_SCHEMA = {
+    "fork_rate": "summary.fork_rate.value",
+    "p_n": "summary.no_fork_prob.value",
+    "p_n_se": "summary.no_fork_prob.se",
+    "rounds_mean": "summary.mean_rounds.value",
+    "rounds_se": "summary.mean_rounds.se",
+    "energy_mean": "summary.mean_block_energy.value",
+    "energy_se": "summary.mean_block_energy.se",
+    "s_mean": "summary.mean_winner_compute.value",
+    "tm_mean": "summary.mean_winner_move.value",
+    "tu_mean": "summary.mean_winner_uplink.value",
+    "system_energy_mean": "summary.mean_system_energy.value",
+    "capped_blocks": "summary.capped_blocks",
+    "round_trials": "summary.round_trials",
+    "block_trials": "summary.block_trials",
+    **_PROVENANCE,
+}
+SWEEP_SCHEMA = {
+    "param": "label",
+    "value": "value",
+    "p_n_analytic": "result.no_fork_prob",
+    "p_n_sim": "summary.no_fork_prob.value",
+    "p_n_se": "summary.no_fork_prob.se",
+    "energy_analytic": "result.avg_block_energy",
+    "energy_sim": "summary.mean_block_energy.value",
+    "energy_se": "summary.mean_block_energy.se",
+    "rounds_mean": "summary.mean_rounds.value",
+    "e_s": "result.exp_min_compute",
+    "e_tm": "result.exp_mobility",
+    "e_tu": "result.exp_uplink",
+    **_PROVENANCE,
+}
 
 SWEEP_PARAMS = ("num_miners", "tx_power_w", "snr_threshold_db")
 _SWEEP_ONLY_KEYS = ("sweep_param", "sweep_values", "round_trials", "block_trials")
@@ -76,17 +107,27 @@ PRESETS = ("fig2", "fig3", "fig4")
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _emit_csv(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _row(schema: dict[str, str], config: SystemConfig, **sources) -> str:
+    """One CSV line: ``_fmt`` of the value at each column's path. The sources are
+    ``config``, its ``digest`` and those named; one that is None (a failed sweep
+    half) prints empty cells, and a path through a missing attribute raises."""
+    sources.update(config=config, digest=config_digest(config))
+    cells = []
+    for path in schema.values():
+        source, *attributes = path.split(".")
+        value = sources[source]
+        if value is not None:
+            for name in attributes:
+                value = getattr(value, name)
+        cells.append(_fmt(value))
+    return ",".join(cells)
+
+
+def _emit_csv(schema: dict[str, str], rows: list[str], out: str | None) -> None:
+    text = "\n".join([",".join(schema), *rows]) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -160,21 +201,6 @@ def preset_jobs(name: str) -> list[tuple[str, object, SystemConfig]]:
 # --- commands ---------------------------------------------------------------
 
 
-def _analytic_row(config: SystemConfig, result: AnalyticResult) -> str:
-    cells = [
-        result.no_fork_prob,
-        result.quadrature_error,
-        result.exp_min_compute,
-        result.exp_mobility,
-        result.exp_uplink,
-        result.exp_round_energy,
-        result.avg_block_energy,
-        config.rng_seed,
-        config_digest(config),
-    ]
-    return ",".join(_fmt(c) for c in cells)
-
-
 def cmd_analytic(args) -> int:
     config = load_config(args.config)
     result = evaluate(config)
@@ -185,30 +211,8 @@ def cmd_analytic(args) -> int:
     _note(f"E[uplink latency]:      {result.exp_uplink:.10g} s")
     _note(f"round energy:           {result.exp_round_energy:.10g} J")
     _note(f"avg block energy:       {result.avg_block_energy:.10g} J")
-    _emit_csv([ANALYTIC_COLUMNS, _analytic_row(config, result)], args.out)
+    _emit_csv(ANALYTIC_SCHEMA, [_row(ANALYTIC_SCHEMA, config, result=result)], args.out)
     return EXIT_OK
-
-
-def _simulate_row(summary: SimulationSummary) -> str:
-    cells = [
-        summary.fork_rate.value,
-        summary.no_fork_prob.value,
-        summary.no_fork_prob.se,
-        summary.mean_rounds.value,
-        summary.mean_rounds.se,
-        summary.mean_block_energy.value,
-        summary.mean_block_energy.se,
-        summary.mean_winner_compute.value,
-        summary.mean_winner_move.value,
-        summary.mean_winner_uplink.value,
-        summary.mean_system_energy.value,
-        summary.capped_blocks,
-        summary.round_trials,
-        summary.block_trials,
-        summary.config.rng_seed,
-        config_digest(summary.config),
-    ]
-    return ",".join(_fmt(c) for c in cells)
 
 
 def cmd_simulate(args) -> int:
@@ -229,7 +233,7 @@ def cmd_simulate(args) -> int:
           f" t_up={summary.mean_winner_uplink.value:.6g} s")
     if summary.capped_blocks:
         _note(f"warning: {summary.capped_blocks} block(s) hit the round cap")
-    _emit_csv([SIMULATE_COLUMNS, _simulate_row(summary)], args.out)
+    _emit_csv(SIMULATE_SCHEMA, [_row(SIMULATE_SCHEMA, summary.config, summary=summary)], args.out)
     return EXIT_OK
 
 
@@ -267,37 +271,23 @@ def cmd_sweep(args) -> int:
     tasks = [(_point_job, cfg, block_trials, round_trials) for _, _, cfg in points]
     results = _run_tasks(tasks, args.workers)
 
-    lines = [SWEEP_COLUMNS]
+    rows: list[str] = []
     warnings: list[str] = []
     for (label, value, cfg), (result, summary) in zip(points, results):
-        cells: dict[str, object] = {name: None for name in SWEEP_COLUMNS.split(",")}
-        cells["param"] = label
-        cells["value"] = value
-        cells["seed"] = cfg.rng_seed
-        cells["config_hash"] = config_digest(cfg)
         if isinstance(result, Exception):
             warnings.append(f"{label}={value}: analytic failed: {result}")
-        else:
-            cells["p_n_analytic"] = result.no_fork_prob
-            cells["energy_analytic"] = result.avg_block_energy
-            cells["e_s"] = result.exp_min_compute
-            cells["e_tm"] = result.exp_mobility
-            cells["e_tu"] = result.exp_uplink
+            result = None
         if isinstance(summary, Exception):
             warnings.append(f"{label}={value}: simulation failed: {summary}")
-        else:
-            cells["p_n_sim"] = summary.no_fork_prob.value
-            cells["p_n_se"] = summary.no_fork_prob.se
-            cells["energy_sim"] = summary.mean_block_energy.value
-            cells["energy_se"] = summary.mean_block_energy.se
-            cells["rounds_mean"] = summary.mean_rounds.value
-            if summary.capped_blocks:
-                warnings.append(
-                    f"{label}={value}: {summary.capped_blocks} block(s) hit the round cap"
-                )
-        lines.append(",".join(_fmt(cells[name]) for name in SWEEP_COLUMNS.split(",")))
+            summary = None
+        elif summary.capped_blocks:
+            warnings.append(
+                f"{label}={value}: {summary.capped_blocks} block(s) hit the round cap"
+            )
+        sources = {"label": label, "value": value, "result": result, "summary": summary}
+        rows.append(_row(SWEEP_SCHEMA, cfg, **sources))
 
-    _emit_csv(lines, args.out)
+    _emit_csv(SWEEP_SCHEMA, rows, args.out)
     if args.out in (None, "-"):
         for w in warnings:
             _note(f"warning: {w}")

@@ -1,24 +1,31 @@
 import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from forkwork import analytic, channel, cli, model, simulator
-from forkwork.analytic import QuadratureError
+from forkwork.analytic import QuadratureError, evaluate
 from forkwork.channel import MIXTURE_DEPTH_CAP
 from forkwork.model import (
     LatencyModel,
     SystemConfig,
+    config_digest,
     config_text,
     default_channel,
     default_config,
+    load_config,
     mean_snr,
 )
+from forkwork.simulator import estimate
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_config(tmp_path, cfg=None, name="config.txt"):
@@ -45,6 +52,12 @@ def _rows(csv_text):
     lines = csv_text.strip().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _readme_headers():
+    """Each command's CSV header, as the README's "CSV schemas" section lists it."""
+    section = README.read_text().split("### CSV schemas", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\* `(\w+)`: `([\w,]+)`$", section, flags=re.M))
 
 
 # --- analytic ---------------------------------------------------------------
@@ -409,7 +422,7 @@ def test_sweep_miners_monotone(tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", spec, "--out", str(out)]) == 0
     header, rows = _rows(out.read_text())
-    assert header == cli.SWEEP_COLUMNS.split(",")
+    assert header == _readme_headers()["sweep"].split(",")
     assert len(rows) == 4
     analytic = [float(r["p_n_analytic"]) for r in rows]
     assert all(b <= a + 1e-8 for a, b in zip(analytic, analytic[1:]))
@@ -585,6 +598,14 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
     assert len(warnings) == 2
     assert all("analytic failed: interval budget exhausted" in w for w in warnings)
     assert all(w.count("error_estimate=") == 1 for w in warnings)
+    # only the analytic half failed: its cells are empty, the simulation's filled
+    _, rows = _rows(outputs[0][0].decode())
+    assert len(rows) == 2
+    analytic_cells = ("p_n_analytic", "energy_analytic", "e_s", "e_tm", "e_tu")
+    simulated_cells = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
+    for row in rows:
+        assert all(row[c] == "" for c in analytic_cells)
+        assert all(row[c] != "" for c in simulated_cells)
 
 
 def test_sweep_starts_one_pool(tmp_path, monkeypatch):
@@ -649,9 +670,9 @@ def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
     done = _cli_in_child(["sweep", spec, "--out", str(out)])
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
-    _, rows = _rows(out.read_text())
+    header, rows = _rows(out.read_text())
     labels = ("param", "value", "seed", "config_hash")
-    metrics = [c for c in cli.SWEEP_COLUMNS.split(",") if c not in labels]
+    metrics = [c for c in header if c not in labels]
     assert len(rows) == 2
     assert all(rows[0][c] != "" for c in metrics)
     assert all(rows[1][c] == "" for c in metrics)
@@ -681,3 +702,97 @@ def test_csv_float_format_17g(tmp_path):
     _, rows = _rows(text)
     value = rows[0]["e_tu"]
     assert float(value) and len(value.replace("-", "").replace(".", "").lstrip("0")) >= 15
+
+
+# --- the columns --------------------------------------------------------------
+
+
+def test_headers_match_the_readme(tmp_path):
+    headers = _readme_headers()
+    assert set(headers) == {"analytic", "simulate", "sweep"}
+    trials = ["--trials", "100", "--blocks", "100"]
+    config = _write_config(tmp_path)
+    spec = _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 2\n")
+    for command, args in [
+        ("analytic", [config]),
+        ("simulate", [config, *trials]),
+        ("sweep", [spec, *trials]),
+    ]:
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, *args, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == headers[command]
+
+
+def test_cells_equal_the_library_values_they_name(tmp_path):
+    # each column's value is named here, apart from the CLI's own table
+    trials = {"num_round_trials": 2000, "num_blocks": 200}
+    options = ["--trials", "2000", "--blocks", "200"]
+    path = _write_config(tmp_path, default_config(num_miners=4))
+    cfg = load_config(path)
+    result = evaluate(cfg)
+    analytic_cells = {
+        "p_n": result.no_fork_prob,
+        "p_n_err": result.quadrature_error,
+        "e_s": result.exp_min_compute,
+        "e_tm": result.exp_mobility,
+        "e_tu": result.exp_uplink,
+        "energy_round": result.exp_round_energy,
+        "energy_block": result.avg_block_energy,
+    }
+
+    def provenance(config):
+        return {"seed": config.rng_seed, "config_hash": config_digest(config)}
+
+    def row_of(command, *args):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, *args, "--out", str(out)]) == 0
+        (row,) = _rows(out.read_text())[1]
+        return row
+
+    def formatted(cells):
+        return {name: cli._fmt(value) for name, value in cells.items()}
+
+    assert row_of("analytic", path) == formatted({**analytic_cells, **provenance(cfg)})
+    summary = estimate(cfg, **trials)
+    simulate_cells = {
+        "fork_rate": summary.fork_rate.value,
+        "p_n": summary.no_fork_prob.value,
+        "p_n_se": summary.no_fork_prob.se,
+        "rounds_mean": summary.mean_rounds.value,
+        "rounds_se": summary.mean_rounds.se,
+        "energy_mean": summary.mean_block_energy.value,
+        "energy_se": summary.mean_block_energy.se,
+        "s_mean": summary.mean_winner_compute.value,
+        "tm_mean": summary.mean_winner_move.value,
+        "tu_mean": summary.mean_winner_uplink.value,
+        "system_energy_mean": summary.mean_system_energy.value,
+        "capped_blocks": summary.capped_blocks,
+        "round_trials": summary.round_trials,
+        "block_trials": summary.block_trials,
+    }
+    assert row_of("simulate", path, *options) == formatted({**simulate_cells, **provenance(cfg)})
+
+    spec = _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 4\n", cfg)
+    row = row_of("sweep", spec, *options)
+    point = replace(cfg, rng_seed=int(row["seed"]))
+    summary = estimate(point, **trials)
+    assert row == formatted(
+        {
+            "param": "num_miners",
+            "value": 4,
+            "p_n_analytic": result.no_fork_prob,
+            "p_n_sim": summary.no_fork_prob.value,
+            "p_n_se": summary.no_fork_prob.se,
+            "energy_analytic": result.avg_block_energy,
+            "energy_sim": summary.mean_block_energy.value,
+            "energy_se": summary.mean_block_energy.se,
+            "rounds_mean": summary.mean_rounds.value,
+            "e_s": result.exp_min_compute,
+            "e_tm": result.exp_mobility,
+            "e_tu": result.exp_uplink,
+            **provenance(point),
+        }
+    )
+    # a column whose source lacks the attribute it names raises, not an empty cell
+    with pytest.raises(AttributeError, match="no_such_field"):
+        cli._row({"p_n": "result.no_such_field"}, cfg, result=result)
