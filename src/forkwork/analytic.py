@@ -15,11 +15,12 @@ competitors are independent and identically distributed, hence
 with the outer expectation over the winner's own transmission latency.
 
 For the relocation mixture T = move_time * N + T_up everything reduces to
-one reusable object: the exponentially tilted cumulative uplink integral
-W(x) = integral_0^x exp(rate * u) f_up(u) du. W is approximated once per
-configuration by a piecewise Chebyshev series and cross-checked against
-adaptive quadrature; q is then closed-form arithmetic. Shifting the lag by
-one relocation gives the exact, contracting recurrence
+one reusable object: the decayed cumulative uplink integral
+G(x) = integral_onset^x exp(-rate (x - u)) f_up(u) du, which is at most 1 at
+any rate. G is approximated once per configuration by a piecewise Chebyshev
+series and cross-checked against adaptive quadrature; q is then closed-form
+arithmetic. Shifting the lag by one relocation gives the exact, contracting
+recurrence
 
     q(t + move_time) = p g(t + move_time) + (1 - p) q(t),
 
@@ -28,9 +29,16 @@ with g the survival of a single mixture component, so
     p_no_fork = integral f_up(u) sum_m w_m q(u + m * move_time)^(I - 1) du
 
 is one outer integral over the uplink latency u for all relocation counts m.
-The recurrence needs W only while u + m * move_time < max_uplink; past that
+The recurrence needs G only while u + m * move_time < max_uplink; past that
 window q(u + m * move_time) has a closed form in m. The outer range is split
 where q has kinks, at u = max_uplink - k * move_time.
+
+The error estimate of p_no_fork adds: the outer quadrature's; the mixture
+truncation's (the weight past n_max, the terms below the floor); the uplink
+mass below the outer range; and the fit's. With delta the cross-check's
+absolute error on G, hence on q, and n = I - 1, E|q~^n - q^n| is at most
+n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's inequality (t^((n-1)/n) is
+concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import math
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import chebyshev
 
 from .channel import DiscreteLatency, LatencyDistribution, pn_tolerances, uplink_latency
 from .model import AnalyticResult, LatencyModel, SystemConfig
@@ -75,10 +83,12 @@ class QuadratureError(RuntimeError):
 # Bisection with 20-point Gauss-Legendre panels. The error of an interval is
 # |coarse - (left + right)|, which for smooth integrands vastly
 # overestimates the error of the refined value; estimates stay
-# conservative. The integrand must accept numpy arrays; each pass of the
-# refinement evaluates it once, on the nodes of every panel in the pass.
+# conservative. A round-off floor of 50 eps per unit of summed |panel value|,
+# as in QUADPACK's rules, covers an integrand accurate only to rounding. The
+# integrand must accept numpy arrays; each pass evaluates it once, on every panel's nodes.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_ROUND_OFF = 50.0 * np.finfo(float).eps
 
 
 def _gl_panels(f, los, his):
@@ -97,7 +107,8 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
     the range is split at those inside (a, b) before any refinement, so no
     panel straddles one. Each pass then bisects every interval whose error
     estimate exceeds an equal share of the budget. Stops once the total error
-    estimate is below max(abs_tol, rel_tol*|value|). Raises
+    estimate is below max(abs_tol, rel_tol*|value|) or the round-off floor,
+    and reports it plus that floor. Raises
     :class:`QuadratureError` if that needs more than ``max_intervals - 1``
     bisections, or if an integrand value, a panel, the value or the error
     estimate is not finite.
@@ -121,14 +132,15 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
             value = left + right
             err = np.abs(value - coarse)
             total, err_total = float(value.sum()), float(err.sum())
-        if not (math.isfinite(total) and math.isfinite(err_total)):  # a non-finite panel too
-            raise QuadratureError("non-finite sum", value=total, error_estimate=err_total)
+            floor = _ROUND_OFF * float(np.abs(value).sum())
+        if not (math.isfinite(total) and math.isfinite(err_total + floor)):  # non-finite panels too
+            raise QuadratureError("non-finite sum", value=total, error_estimate=err_total + floor)
         target = max(abs_tol, rel_tol * abs(total))
-        if err_total <= target:
-            return total, err_total
+        if err_total <= max(target, floor):
+            return total, err_total + floor
         if bisections_left <= 0:
             raise QuadratureError(
-                "interval budget exhausted", value=total, error_estimate=err_total
+                "interval budget exhausted", value=total, error_estimate=err_total + floor
             )
         split = np.flatnonzero(err > target / len(err))
         if len(split) > bisections_left:
@@ -154,84 +166,77 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
 _BLOCK = 1 << 13
 
 
-class _PiecewiseCheb:
-    """Piecewise Chebyshev antiderivative of a vectorized smooth function.
+class _DecayedFit:
+    """G(x) = integral_a^x exp(-rate (x - u)) f(u) du on [a, b], piecewise Chebyshev.
 
-    Panels are split in half until the trailing coefficients of a fixed-degree
-    local fit drop below coef_tol relative to the global magnitude; panels
-    where the function is flat accept immediately, so sharply localized
-    integrands stay cheap. Calling the object evaluates the running integral
-    from the left edge: one Clenshaw pass over every point at once, each
-    point reading its own panel's coefficients.
+    Panel [lo, hi] interpolates f(u) exp(-rate (hi - u)), which never overflows;
+    the tilt is taken in the panel's own coordinate y, so the rounding of u does
+    not reach it. A panel is split in half until its trailing coefficients drop
+    below coef_tol relative to the global magnitude and rate (hi - lo) <= 1, so
+    undoing the tilt inside it costs at most a factor e. Panels are accepted
+    left to right: a panel's running integral plus exp(-rate (hi - lo)) G(lo) is
+    exp(-rate (hi - x)) G(x), and its value at hi is G(hi), which starts the
+    next. Calling the object evaluates G on [a, b]: one Clenshaw pass over
+    every point at once, each point reading its own panel's coefficients.
     """
 
     DEGREE = 32
-    MAX_PANELS = 4096
+    MAX_PANELS = 1 << 14
+    _NODES = chebyshev.chebpts1(DEGREE + 1)  # y in (-1, 1)
+    _FIT = chebyshev.chebvander(_NODES, DEGREE).T * (2.0 / (DEGREE + 1))  # node values -> coefs
+    _FIT[0] *= 0.5  # at the nodes T_0^2 sums to DEGREE + 1, any other T_k^2 to half that
 
-    def __init__(self, f, a, b, coef_tol):
-        scale = float(np.max(np.abs(np.asarray(f(np.linspace(a, b, 257)), dtype=float))))
-        scale = max(scale, 1e-300)
+    def __init__(self, f, rate, a, b, coef_tol):
+        scale = max(float(np.max(np.abs(f(np.linspace(a, b, 257))))), 1e-300)
         min_width = (b - a) * 2.0**-42
-
-        panels = []  # (lo, hi, series), built left to right
+        if rate * (b - a) > self.MAX_PANELS:  # no panel may span more than 1 / rate
+            raise QuadratureError("piecewise fit exceeded the panel budget")
+        y = self._NODES
+        panels, total = [], 0.0  # (left edge, half width, running integral), left to right
         stack = [(a, b)]
         while stack:
             lo, hi = stack.pop()
-            series = Chebyshev.interpolate(f, self.DEGREE, domain=[lo, hi])
-            mags = np.abs(series.coef)
+            half = 0.5 * (hi - lo)
+            coef = self._FIT @ (f(lo + half * (1.0 + y)) * np.exp(-rate * half * (1.0 - y)))
+            mags = np.abs(coef)
             scale = max(scale, float(mags.max()))
-            if float(mags[-4:].max()) <= coef_tol * scale or (hi - lo) <= min_width:
-                panels.append((lo, hi, series))
+            smooth = float(mags[-4:].max()) <= coef_tol * scale and rate * (hi - lo) <= 1.0
+            if smooth or (hi - lo) <= min_width:
+                prim = chebyshev.chebint(coef, lbnd=-1.0, scl=half)
+                prim[0] += math.exp(-rate * (hi - lo)) * total
+                total = float(prim.sum())  # G(hi): every T_k is 1 at y = 1
+                panels.append((lo, half, prim))
+            elif len(panels) + len(stack) >= self.MAX_PANELS:
+                raise QuadratureError("piecewise fit exceeded the panel budget")
             else:
-                if len(panels) + len(stack) >= self.MAX_PANELS:
-                    raise QuadratureError("piecewise fit exceeded the panel budget")
-                mid = 0.5 * (lo + hi)
-                stack.append((mid, hi))
-                stack.append((lo, mid))
-
-        self.edges = np.array([p[0] for p in panels] + [b])
-        prims = [series.integ(lbnd=lo) for lo, _, series in panels]
-        offsets = np.cumsum([0.0] + [float(prim(hi)) for (_, hi, _), prim in zip(panels, prims)])
-        coef = np.array([prim.coef for prim in prims])
-        coef[:, 0] += offsets[:-1]
-        self._coef = np.ascontiguousarray(coef.T)  # row k: T_k coefficient of every panel
-        self._off, self._scl = np.array([prim.mapparms() for prim in prims]).T
-        self.total = float(offsets[-1])
+                stack += [(lo + half, hi), (lo, lo + half)]
+        lows, halves, prims = zip(*panels)
+        self.rate, self.total = float(rate), total
+        self.edges = np.array([*lows, b])
+        self._half = np.array(halves)
+        self._coef = np.ascontiguousarray(np.array(prims).T)  # row k: every panel's T_k coefficient
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
-        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self._off) - 1)
-        y = self._off[idx] + self._scl[idx] * flat
+        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self._half) - 1)
+        half = self._half[idx]
+        y = (flat - self.edges[idx]) / half - 1.0
         y2 = 2.0 * y
         b1, b2 = self._coef[-1][idx], np.zeros_like(y)
         for row in self._coef[-2:0:-1]:
             b1, b2 = row[idx] + y2 * b1 - b2, b1
-        out = self._coef[0][idx] + y * b1 - b2
+        out = np.exp(self.rate * half * (1.0 - y)) * (self._coef[0][idx] + y * b1 - b2)
         return out.reshape(x.shape) if x.shape else float(out[0])
-
-
-def _geometric_sum(base, step, count):
-    """sum_{n=0}^{count-1} exp(base + n*step), elementwise over base and count.
-
-    Factors out the largest term so nothing overflows, and uses expm1 so a
-    ratio near 1 keeps its precision.
-    """
-    count = np.asarray(count, dtype=float)
-    if step == 0.0:
-        return count * np.exp(base)
-    if step > 0.0:
-        return np.exp(base + (count - 1.0) * step) * np.expm1(-count * step) / math.expm1(-step)
-    return np.exp(base) * np.expm1(count * step) / math.expm1(step)
 
 
 class _SurvivalEvaluator:
     """Evaluates q(t*) for a relocation-mixture latency distribution.
 
     One relocation count n contributes p (1-p)^n g(t* - n move_time), with
-      g(x) = 1                                  x <= onset,
-      g(x) = exp(-rate x) W(x) + ccdf_up(x)     onset < x < max_up,
-      g(x) = carry exp(-rate x)                 x >= max_up, carry = W(max_up).
+      g(x) = 1                                    x <= onset,
+      g(x) = G(x) + ccdf_up(x)                    onset < x < max_up,
+      g(x) = carry exp(-rate (x - max_up))        x >= max_up, carry = G(max_up).
     Below the onset the uplink law has no mass in double precision
     (P(T_up <= onset) = exp(-746) rounds to 0), so those components survive
     surely, as do those that have not arrived (x <= 0). q is computed one
@@ -243,13 +248,10 @@ class _SurvivalEvaluator:
 
     def __init__(self, dist: LatencyDistribution, rate: float, tol: float):
         self.dist = dist
-        self.rate = float(rate)
-        self.tol = float(tol)
+        self.rate = rate = float(rate)
         hi = dist.max_uplink
-        lo = hi * 1e-12
-        self._lo = lo
         top_snr = dist.snr_threshold + 746.0 / dist.snr_rate
-        self._onset = float(uplink_latency(top_snr, dist.ack_bits, dist.bandwidth_hz))
+        self._onset = onset = float(uplink_latency(top_snr, dist.ack_bits, dist.bandwidth_hz))
         self.relocates = dist.variant is LatencyModel.TOTAL and dist.success_prob < 1.0
         if self.relocates:
             p = dist.success_prob
@@ -258,27 +260,18 @@ class _SurvivalEvaluator:
             self._n_zero = math.ceil(750.0 / -self._log_stay)
             self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
 
-        def tilted_pdf(u):
-            return np.exp(self.rate * np.asarray(u, dtype=float)) * dist.uplink_pdf(u)
+        self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi, max(1e-3 * tol, 1e-15))
+        self.carry = self._decayed.total
 
-        self._growth = _PiecewiseCheb(tilted_pdf, lo, hi, max(1e-3 * self.tol, 1e-15))
-        self.carry = float(self._growth.total)
-
-        # independent cross-check of the cumulative integral at three probes
-        error = float(dist.uplink_cdf(lo))
-        start = lo
-        running = 0.0
-        for probe in (0.5 * hi, 0.9 * hi, hi):
+        # independent cross-check of G at three probes; its error is absolute on G
+        error, start, running = float(dist.uplink_cdf(onset)), onset, 0.0
+        for probe in (onset + 0.5 * (hi - onset), onset + 0.9 * (hi - onset), hi):
             piece, piece_err = integrate_adaptive(
-                tilted_pdf,
-                start,
-                probe,
-                rel_tol=1e-12,
-                abs_tol=1e-13 * max(1.0, self.carry),
-                max_intervals=2048,
+                lambda u: np.exp(-rate * (probe - u)) * dist.uplink_pdf(u),
+                start, probe, rel_tol=1e-12, abs_tol=1e-15, max_intervals=2048
             )
-            running += piece
-            error += abs(float(self._growth(probe)) - running) + piece_err
+            running = math.exp(-rate * (probe - start)) * running + piece
+            error += abs(float(self._decayed(probe)) - running) + piece_err
             start = probe
         self.error = error
 
@@ -291,10 +284,9 @@ class _SurvivalEvaluator:
         mid = (x > self._onset) & ~beyond
         if np.any(mid):
             xm = x[mid]
-            w = np.maximum(self._growth(np.clip(xm, self._lo, hi)), 0.0)
-            out[mid] = np.exp(-self.rate * xm) * w + self.dist.uplink_ccdf(xm)
+            out[mid] = np.maximum(self._decayed(xm), 0.0) + self.dist.uplink_ccdf(xm)
         if np.any(beyond):
-            out[beyond] = self.carry * np.exp(-self.rate * x[beyond])
+            out[beyond] = self.carry * np.exp(-self.rate * (x[beyond] - hi))
         return out
 
     def _walk(self, u, last: int):
@@ -315,13 +307,17 @@ class _SurvivalEvaluator:
     def _beyond(self, q_last, x_last, j):
         """q(x_last + j move_time) from q_last = q(x_last), where x_last + move_time >= max_up.
 
-        There g is carry exp(-rate x), so with rho = exp(-rate move_time)
-        q = (1-p)^j q_last + p carry exp(-rate x_last) sum_{i=1}^{j} (1-p)^(j-i) rho^i.
+        There g is carry exp(-rate (x - max_up)), so with rho = exp(-rate move_time)
+        q = (1-p)^j q_last + p carry sum_{i=1}^{j} (1-p)^(j-i) rho^i exp(-rate (x_last - max_up)),
+        summed from its largest term (i = j if rho >= 1-p, else i = 1) by expm1,
+        so a ratio near 1 keeps its precision.
         """
         log_stay, log_rho = self._log_stay, -self.rate * self.dist.move_time
-        mixed = _geometric_sum(log_rho + (j - 1.0) * log_stay, log_rho - log_stay, j)
-        c = self.dist.success_prob * self.carry * np.exp(-self.rate * x_last)
-        return np.exp(j * log_stay) * q_last + c * mixed
+        decay = self.rate * (x_last - self.dist.max_uplink)
+        top = np.exp(log_rho + (j - 1.0) * max(log_rho, log_stay) - decay)
+        step = -abs(log_rho - log_stay)  # the log ratio of each next smaller term
+        mixed = top * (j if step == 0.0 else np.expm1(j * step) / math.expm1(step))
+        return np.exp(j * log_stay) * q_last + self.dist.success_prob * self.carry * mixed
 
     def survival(self, t_star):
         """q(t*), scalar in, scalar out; array in, array out."""
@@ -398,9 +394,7 @@ class _SurvivalEvaluator:
         return [d.max_uplink - k * d.move_time for k in range(1, count + 1)]
 
 
-@lru_cache(maxsize=32)
-def _evaluator(dist: LatencyDistribution, rate: float, tol: float) -> _SurvivalEvaluator:
-    return _SurvivalEvaluator(dist, rate, tol)
+_evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate, tol) -> evaluator
 
 
 def _discrete_survival(t_star, dist: DiscreteLatency, rate: float):
@@ -431,14 +425,12 @@ def survival_prob(t_star, dist, compute_rate: float | None = None):
 
 def _pn_attempt(dist, num_miners, rate, tol, eps_comp, floor, inner_tol):
     ev = _evaluator(dist, rate, inner_tol)
-    lo = dist.max_uplink * 1e-12
-    hi = dist.max_uplink
-    power = num_miners - 1
+    lo, hi, n = dist.max_uplink * 1e-12, dist.max_uplink, num_miners - 1
     skipped = 0.0
 
     def integrand(u):
         nonlocal skipped
-        sums, cut = ev.mixture_power_sum(u, power, floor)
+        sums, cut = ev.mixture_power_sum(u, n, floor)
         skipped = max(skipped, cut)
         return dist.uplink_pdf(u) * sums
 
@@ -446,8 +438,10 @@ def _pn_attempt(dist, num_miners, rate, tol, eps_comp, floor, inner_tol):
         integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, points=ev.kinks()
     )
     tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if ev.relocates else 0.0
-    err_est = quad_err + tail + skipped + power * ev.error + float(dist.uplink_cdf(lo))
-    return value, err_est
+    rest = quad_err + tail + skipped + float(dist.uplink_cdf(lo))
+    delta = ev.error  # the fit's term, bounded as in the module docstring
+    spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
+    return value, rest + n * delta * (value + rest + spread) ** ((n - 1) / n)
 
 
 def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, float]:

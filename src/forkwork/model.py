@@ -134,6 +134,8 @@ class SystemConfig:
             errors.append("noise_psd_dbm_hz must be finite")
         if not (math.isfinite(ch.snr_threshold) and ch.snr_threshold > 0.0):
             errors.append("snr_threshold must be positive")
+        elif 1.0 + ch.snr_threshold == 1.0:  # log2(1 + threshold), the rate there, rounds to 0
+            errors.append("snr_threshold must be above 1.1e-16 (-159.5 dB)")
         if not isinstance(self.latency_model, LatencyModel):
             errors.append("latency_model must be 'total' or 'wireless_only'")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
@@ -231,11 +233,19 @@ def derive(channel: ChannelParams, miner: MinerParams) -> DerivedParams:
 
     Free-space path gain (wavelength / 4 pi d)^2; noise power from dBm/Hz PSD
     times bandwidth; SNR rate = noise power / (gain * tx power); compute rate
-    lambda0 * compute power; relocation time (wavelength/2) / speed; max
-    uplink latency ack_bits / (B log2(1 + threshold)). Each error message
-    names the fields the failing scalar is computed from.
+    lambda0 * compute power; relocation time (wavelength/2) / speed; max uplink
+    latency ack_bits / (B log2(1 + threshold)) by ``channel.uplink_latency``, as
+    the draws take it. Each error message names the fields it is computed from.
     """
+    import numpy as np  # loaded by the first config built, not by ``import forkwork``
+    from .channel import uplink_latency
+
     ch, mn = channel, miner
+
+    def at_threshold():
+        with np.errstate(over="raise"):  # a FloatingPointError: out of float range
+            return float(uplink_latency(ch.snr_threshold, mn.ack_bits, ch.bandwidth_hz))
+
     link = "carrier_frequency_hz, distance_m"
     band = "noise_psd_dbm_hz, bandwidth_hz"
     gain = _positive("path_gain", link, lambda: _path_gain(ch))
@@ -253,11 +263,7 @@ def derive(channel: ChannelParams, miner: MinerParams) -> DerivedParams:
         "carrier_frequency_hz, speed_mps",
         lambda: (wavelength_m(ch.carrier_frequency_hz) / 2.0) / mn.speed_mps,
     )
-    max_uplink = _positive(
-        "max_uplink",
-        "ack_bits, bandwidth_hz, snr_threshold",
-        lambda: mn.ack_bits / (ch.bandwidth_hz * math.log2(1.0 + ch.snr_threshold)),
-    )
+    max_uplink = _positive("max_uplink", "ack_bits, bandwidth_hz, snr_threshold", at_threshold)
     success_prob = math.exp(-snr_rate * ch.snr_threshold)
     if gain >= 1.0:
         raise ValueError("derived path_gain must be below 1 (distance is inside the near field)")

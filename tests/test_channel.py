@@ -14,6 +14,7 @@ from forkwork.channel import (
     substream,
     uplink_latency,
 )
+from forkwork.cli import preset_jobs
 from forkwork.model import ConfigError, LatencyModel, default_config, derive
 from forkwork.simulator import _race
 
@@ -202,6 +203,21 @@ def test_uplink_pdf_normalizes():
         d.uplink_pdf, d.max_uplink * 1e-12, d.max_uplink, rel_tol=1e-9
     )
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_max_uplink_is_the_uplink_latency_at_the_threshold():
+    # one formula for the support bound and for the draws, to the last bit
+    grid = [
+        default_config(miners, tx_power_w=tx, snr_fraction=fraction)
+        for miners in (2, 5, 10, 20)
+        for tx in (0.1, 1.0)
+        for fraction in (0.5, 1.0)
+    ]
+    configs = [cfg for preset in ("fig2", "fig4") for *_, cfg in preset_jobs(preset)] + grid
+    for cfg in configs:
+        ch = cfg.channel
+        at_threshold = uplink_latency(ch.snr_threshold, cfg.miner.ack_bits, ch.bandwidth_hz)
+        assert float(at_threshold) == cfg.derived.max_uplink_s
 
 
 def test_uplink_sampler_matches_cdf():

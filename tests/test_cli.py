@@ -117,6 +117,28 @@ def test_analytic_checks_config_once(tmp_path, monkeypatch):
     assert len(checks) == 1
 
 
+def test_analytic_answers_at_fast_compute(tmp_path):
+    # rate x max_uplink is about 20: the fit of the bounded G keeps its error budget
+    cfg = default_config()
+    path = _write_config(tmp_path, replace(cfg, miner=replace(cfg.miner, lambda0=10.0)))
+    out = tmp_path / "row.csv"
+    assert cli.main(["analytic", path, "--out", str(out)]) == 0
+    _, rows = _rows(out.read_text())
+    assert 0.0 < float(rows[0]["p_n_err"]) <= cfg.quadrature_tol * float(rows[0]["p_n"])
+
+
+@pytest.mark.parametrize("lambda0", [1_000.0, 10_000.0])
+def test_analytic_at_extreme_compute_ends_cleanly(tmp_path, lambda0):
+    # rate x max_uplink of 2,000 and 20,000: an answer or a quadrature failure
+    # within 10 s, with no NaN and no numpy warning
+    cfg = default_config()
+    path = _write_config(tmp_path, replace(cfg, miner=replace(cfg.miner, lambda0=lambda0)))
+    done = _cli_in_child(["analytic", path], timeout=10)
+    assert done.returncode in (0, 2), done.stderr
+    assert "nan" not in (done.stdout + done.stderr).lower()
+    assert "Warning" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "command, options",
     [("analytic", []), ("simulate", ["--trials", "100", "--blocks", "100"])],
@@ -573,8 +595,9 @@ def test_sweep_preset_fig4_bytes_hold_at_workers_1_2_4(tmp_path, monkeypatch):
 
 
 def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
-    # fast compute on a short link: the analytic error budget fails at every
-    # point, and each warning carries a QuadratureError back from a worker
+    # compute so fast that the fit of G would need more panels than its budget:
+    # the analytic half fails at every point, and each warning carries a
+    # QuadratureError back from a worker
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
     base = [
         line
@@ -584,7 +607,7 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
     spec = tmp_path / "fast.txt"
     spec.write_text(
         "\n".join(base)
-        + "\nlambda0 = 20\nsnr_threshold_db = 20\n"
+        + "\nlambda0 = 1000000\nsnr_threshold_db = 20\n"
         + "sweep_param = tx_power_w\nsweep_values = 0.1, 0.2\n"
         + "round_trials = 1000\nblock_trials = 100\n"
     )
@@ -596,7 +619,7 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
     assert outputs[1] == outputs[0]
     warnings = outputs[0][1].splitlines()
     assert len(warnings) == 2
-    assert all("analytic failed: interval budget exhausted" in w for w in warnings)
+    assert all("analytic failed: piecewise fit exceeded the panel budget" in w for w in warnings)
     assert all(w.count("error_estimate=") == 1 for w in warnings)
     # only the analytic half failed: its cells are empty, the simulation's filled
     _, rows = _rows(outputs[0][0].decode())
