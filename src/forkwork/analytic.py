@@ -24,21 +24,26 @@ recurrence
 
     q(t + move_time) = p g(t + move_time) + (1 - p) q(t),
 
-with g the survival of a single mixture component, so
+with g the survival of a single mixture component. With w_m = p (1 - p)^m
+the weight of m relocations, p_no_fork = integral_0^max_up f_up(u)
+sum_m w_m q(u + m * move_time)^(I - 1) du. Writing u = phi + k * move_time
+folds this onto one relocation period: with A_j = q(phi + j * move_time)^(I - 1)
+and S_k = sum_m w_m A_(k+m), so that S_k = p A_k + (1 - p) S_(k+1),
 
-    p_no_fork = integral f_up(u) sum_m w_m q(u + m * move_time)^(I - 1) du
+    p_no_fork = integral_0^min(move_time, max_up) sum_k f_up(phi + k * move_time) S_k(phi) dphi.
 
-is one outer integral over the uplink latency u for all relocation counts m.
-The recurrence needs G only while u + m * move_time < max_uplink; past that
-window q(u + m * move_time) has a closed form in m. The outer range is split
-where q has kinks, at u = max_uplink - k * move_time.
+One walk of the recurrence per phase phi gives every A_j while
+phi + j * move_time <= max_up; past that window q has a closed form in j,
+summed once into S at the window's end. The integrand's one breakpoint is
+where a lag crosses max_up, phi* = max_up - floor(max_up / move_time) * move_time.
+A law that never relocates keeps the plain integral over u.
 
 The error estimate of p_no_fork adds: the outer quadrature's; the mixture
-truncation's (the weight past n_max, the terms below the floor); the uplink
-mass below the outer range; and the fit's. With delta the cross-check's
-absolute error on G, hence on q, and n = I - 1, E|q~^n - q^n| is at most
-n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's inequality (t^((n-1)/n) is
-concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
+truncation's (the weight past n_max, the terms below the floor); and the fit's.
+With delta the cross-check's absolute error on G, hence on q, and n = I - 1,
+E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
+inequality (t^((n-1)/n) is concave), where
+E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
 """
 
 from __future__ import annotations
@@ -337,61 +342,49 @@ class _SurvivalEvaluator:
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
 
-    def mixture_power_sum(self, u, power: int, floor: float):
-        """sum_{m=0}^{n_max} p (1-p)^m q(u + m move_time)^power for lags u in (0, max_up].
-
-        Returns (sums, skipped). The walk gives q(u + m move_time) while
-        u + m move_time < max_up, the closed form past that window; those
-        counts, up to the law's n_max, are summed in blocks until the terms
-        left are below ``floor``. ``skipped`` bounds the sum of the terms left out.
-        """
-        u = np.asarray(u, dtype=float)
-        if not self.relocates:
-            return self._q_component(u) ** power, 0.0
-        order = np.argsort(u, kind="stable")
-        out = np.empty(u.shape)
-        skipped = 0.0
+    def phase_sum(self, phi, power: int, floor: float):
+        """sum_k f_up(phi + k move_time) S_k(phi) for phases phi in (0, min(move_time, max_up)]
+        (see the module docstring). One walk gives A_j from the onset (below it
+        q = 1 and f_up = 0) up to the last lag with uplink density, j = last, and
+        ``_beyond_sum`` gives S_(last+1). The sum over k is taken in the walk's
+        order, as sum_j p A_j D_j + (1-p) D_last S_(last+1) with
+        D_j = (1-p) D_(j-1) + f_up(phi + j move_time). Returns (sums, skipped);
+        ``skipped`` bounds the terms left out."""
         d = self.dist
-        width = self._window + min(d.n_max, math.ceil(d.max_uplink / d.move_time)) + 1
-        rows = max(1, _BLOCK // width)
-        for start in range(0, len(u), rows):
-            pick = order[start : start + rows]
-            out[pick], cut = self._mixture_block(u[pick], power, floor)
+        if not self.relocates:  # the phase is the uplink latency itself
+            return d.uplink_pdf(phi) * self._q_component(phi) ** power, 0.0
+        p, tm, hi, stay = d.success_prob, d.move_time, d.max_uplink, 1.0 - d.success_prob
+        # lags at or below the onset carry no density and have q = 1: start past them
+        first = max(0, math.floor((self._onset - float(np.max(phi))) / tm))
+        last = math.floor((hi - float(np.min(phi))) / tm) - first
+        out, skipped = np.empty(phi.shape), 0.0
+        rows = max(1, _BLOCK // (last + 2))  # the walk's (lag x phase) block
+        for start in range(0, len(phi), rows):
+            ph = phi[start : start + rows] + first * tm
+            dens = d.uplink_pdf(ph + tm * np.arange(last + 1)[:, None])
+            total, mixed = np.zeros(ph.shape), np.zeros(ph.shape)
+            for k, q in self._walk(ph, last):
+                mixed = stay * mixed + dens[k]
+                total += p * mixed * q**power
+            tail, cut = self._beyond_sum(q, ph + last * tm, power, floor)
+            out[start : start + rows] = total + stay * mixed * tail
             skipped = max(skipped, cut)
         return out, skipped
 
-    def _mixture_block(self, u, power, floor):
-        d = self.dist
-        p, tm, hi, n_max = d.success_prob, d.move_time, d.max_uplink, d.n_max
-        stay, log_stay = 1.0 - p, self._log_stay
-        last = min(n_max, max(0, math.ceil((hi - float(u[0])) / tm) - 1))
-        total = np.zeros(u.shape)
-        for k, q in self._walk(u, last):
-            total += p * stay**k * q**power
-        if last >= n_max:
-            return total, 0.0
-
-        # m = last + j, in blocks of j
-        x_last = (u + last * tm)[:, None]
-        cols = max(16, _BLOCK // len(u))
-        for j0 in range(1, n_max - last + 1, cols):
-            j = np.arange(j0, min(j0 + cols, n_max - last + 1), dtype=float)
-            qj = self._beyond(q[:, None], x_last, j)
-            weights = p * np.exp((last + j) * log_stay)
-            total += (qj**power) @ weights
-            rest = float(np.max(qj[:, -1] ** power)) * math.exp((last + j[-1] + 1.0) * log_stay)
+    def _beyond_sum(self, q_last, x_last, power, floor):
+        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i <= n_max, in
+        blocks of i until the terms left are below ``floor``; returns (sums, skipped)."""
+        p, n_max = self.dist.success_prob, self.dist.n_max
+        total = np.zeros(q_last.shape)
+        cols = max(16, _BLOCK // len(q_last))
+        for j0 in range(1, n_max + 2, cols):  # j = i + 1 steps past x_last
+            j = np.arange(j0, min(j0 + cols, n_max + 2), dtype=float)
+            qj = self._beyond(q_last[:, None], x_last[:, None], j) ** power
+            total += qj @ (p * np.exp((j - 1.0) * self._log_stay))
+            rest = float(np.max(qj[:, -1])) * math.exp(j[-1] * self._log_stay)
             if rest <= floor:
                 return total, rest
         return total, 0.0
-
-    def kinks(self):
-        """Lags u in (0, max_up) where some q(u + m move_time), m <= n_max,
-        jumps in its second derivative: u = max_up - k move_time."""
-        if not self.relocates:
-            return []
-        d = self.dist
-        count = min(d.n_max, math.floor(d.max_uplink / d.move_time))
-        return [d.max_uplink - k * d.move_time for k in range(1, count + 1)]
 
 
 _evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate, tol) -> evaluator
@@ -425,20 +418,23 @@ def survival_prob(t_star, dist, compute_rate: float | None = None):
 
 def _pn_attempt(dist, num_miners, rate, tol, eps_comp, floor, inner_tol):
     ev = _evaluator(dist, rate, inner_tol)
-    lo, hi, n = dist.max_uplink * 1e-12, dist.max_uplink, num_miners - 1
-    skipped = 0.0
+    hi, n, skipped = dist.max_uplink, num_miners - 1, 0.0
 
-    def integrand(u):
+    def integrand(phi):
         nonlocal skipped
-        sums, cut = ev.mixture_power_sum(u, n, floor)
+        sums, cut = ev.phase_sum(phi, n, floor)
         skipped = max(skipped, cut)
-        return dist.uplink_pdf(u) * sums
+        return sums
 
+    span, points, tail = hi, (), 0.0
+    if ev.relocates:  # over the phase phi = u mod move_time; a lag crosses max_up at phi*
+        tm = dist.move_time
+        span, points = min(tm, hi), [hi - math.floor(hi / tm) * tm]
+        tail = (1.0 - dist.success_prob) ** (dist.n_max + 1)
     value, quad_err = integrate_adaptive(
-        integrand, lo, hi, rel_tol=0.1 * tol, abs_tol=eps_comp, points=ev.kinks()
+        integrand, 0.0, span, rel_tol=0.1 * tol, abs_tol=eps_comp, points=points
     )
-    tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if ev.relocates else 0.0
-    rest = quad_err + tail + skipped + float(dist.uplink_cdf(lo))
+    rest = quad_err + tail + skipped
     delta = ev.error  # the fit's term, bounded as in the module docstring
     spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
     return value, rest + n * delta * (value + rest + spread) ** ((n - 1) / n)

@@ -5,8 +5,8 @@ latency; the fastest computer is the rightful winner, the earliest ACK
 arrival decides who actually commits. A round forks when those two differ,
 and a forked block is recovered by racing again.
 
-Estimates are bit-reproducible: work is split into chunks sized by the miner
-count alone, each chunk draws from a substream derived from (seed, stream
+Estimates are bit-reproducible: work is split into chunks of a fixed
+size, each chunk draws from a substream derived from (seed, stream
 tag, chunk index), and partial sums are reduced in chunk order. The worker
 count therefore never changes any result, only wall-clock time.
 """
@@ -74,20 +74,25 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
     alone: the fastest of I compute times is Exp(I rate), and by memorylessness
     each loser computes for that time plus its own lag ~ Exp(rate). A loser can
     fork the round only if its lag plus its transmission latency is below the
-    winner's transmission latency t*, so only the losers with lag < t*, the
-    candidates, are drawn: each loser is one with probability
-    reach = 1 - exp(-rate t*), and a candidate's lag is Exp(rate) truncated to
-    [0, t*), drawn by inversion, independent of its latency. This is exact.
+    winner's transmission latency t*. The losers are taken in order of their
+    lags, drawn as order statistics (Renyi 1953): with i losers not yet taken,
+    the gap to the next smallest lag is Exp(i rate). Each step takes the next
+    ``width`` losers of every open round, width = min(losers left,
+    max(1, ROUND_CHUNK // open rounds)), so a step draws at most ROUND_CHUNK
+    lags, or one per open round, at any I. A round closes once a loser forks it
+    or a lag reaches t* (no later loser can fork it). This is exact.
 
     Draw order: ``standard_exponential(count)`` for the winner's compute time,
-    ``dist.draw(rng, count)`` for its latencies, ``binomial(I - 1, reach)`` for
-    the candidate counts K, ``random(sum K)`` for the candidates' lags
-    -log1p(-U reach) / rate, then ``dist.draw(rng, sum K)``, the candidates in
-    round order. A round forks when some candidate's lag plus transmission is
-    below t*; the winner keeps an exact tie. Returns per-round arrays: forked,
-    winner energy, winner compute, move and uplink times, and the system energy,
-    an extension metric: the winner's energy plus each loser's compute power
-    until the winner's ACK lands, outside the analytic cross-checks."""
+    ``dist.draw(rng, count)`` for its latencies, then per step
+    ``standard_exponential((open, width))`` for the lag gaps, then
+    ``dist.draw(rng, (reached, width))`` for the transmissions of the losers
+    taken in the rounds whose first of them has a lag below t*; both in round
+    order, then lag order. A round forks when some loser's transmission is below
+    t* less its lag; the winner keeps an exact tie. Returns per-round arrays:
+    forked, winner energy, winner compute, move and uplink times, and the
+    system energy, an extension metric: the winner's energy plus each loser's
+    compute power until the winner's ACK lands, outside the analytic
+    cross-checks."""
     d = config.derived
     miners, rate = config.num_miners, d.compute_rate
     s_win = rng.standard_exponential(count) / (miners * rate)
@@ -99,29 +104,27 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
         + config.channel.tx_power_w * up_win
     )
     system = energy + (miners - 1) * config.miner.compute_power_w * (s_win + t_win)
-    reach = -np.expm1(-rate * t_win)
-    candidates = rng.binomial(miners - 1, reach)
-    lag = rng.random(int(candidates.sum()))  # in place below
-    lag *= np.repeat(reach, candidates)
-    np.log1p(np.negative(lag, out=lag), out=lag)
-    lag /= -rate
-    lag += dist.draw(rng, lag.size)[2]
-    # candidates that beat t*, counted per round by a cumulative sum over the segments
-    hits = np.zeros(lag.size + 1, dtype=np.int64)
-    np.cumsum(lag < np.repeat(t_win, candidates), out=hits[1:])
-    ends = np.cumsum(candidates)
-    forked = hits[ends] > hits[ends - candidates]
+    forked = np.zeros(count, dtype=bool)
+    # the open rounds, t* less their last loser's lag, and the losers not yet taken
+    rounds, slack, left = np.arange(count), t_win, miners - 1
+    while left and rounds.size:
+        width = min(left, max(1, ROUND_CHUNK // rounds.size))
+        gaps = rng.standard_exponential((rounds.size, width))  # row: one round's next losers
+        gaps /= np.arange(left, left - width, -1) * rate
+        if width > 1:  # a one-column cumsum changes nothing but costs a pass
+            np.cumsum(gaps, axis=1, out=gaps)
+        after = np.subtract(slack[:, None], gaps, out=gaps)  # t* less each loser's lag
+        reach = np.flatnonzero(after[:, 0] > 0.0)  # the rounds with a candidate
+        rounds, after = rounds[reach], after[reach]
+        hit = (dist.draw(rng, after.shape)[2] < after).any(axis=1)
+        forked[rounds[hit]] = True
+        stay = (after[:, -1] > 0.0) & ~hit
+        rounds, slack = rounds[stay], after[stay, -1]
+        left -= width
     return forked, energy, s_win, move_win, up_win, system
 
 
 # --- chunked estimation -----------------------------------------------------
-
-
-def _rows(limit: int, num_miners: int) -> int:
-    """Rounds, or blocks, per chunk: ``limit``, cut so that rounds x miners <= 2^20.
-    A _race call races at most one chunk's rounds, so memory does not grow with I.
-    Depends on I alone, so results stay reproducible."""
-    return max(1, min(limit, (1 << 20) // num_miners))
 
 
 def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
@@ -225,8 +228,8 @@ def estimate(
     """Monte Carlo estimates: fork rate from independent rounds, energy and
     recovery length from independent blocks.
 
-    The rounds and the blocks are cut into chunks of _rows(ROUND_CHUNK, I)
-    rounds or blocks each, the chunks run on ``workers`` processes (see
+    The rounds and the blocks are cut into chunks of ROUND_CHUNK rounds or
+    blocks each, the chunks run on ``workers`` processes (see
     _run_tasks), and their partial sums are added in chunk order.
     Deterministic given (config.rng_seed, config): results are bit-identical
     across runs and across worker counts.
@@ -235,10 +238,9 @@ def estimate(
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if dist is None:
         dist = LatencyDistribution.from_config(config)
-    chunk = _rows(ROUND_CHUNK, config.num_miners)
-    sizes = _chunk_sizes(num_round_trials, chunk)
+    sizes = _chunk_sizes(num_round_trials, ROUND_CHUNK)
     tasks = [(_round_chunk, config, dist, i, n) for i, n in enumerate(sizes)]
-    blocks = _chunk_sizes(num_blocks, chunk)
+    blocks = _chunk_sizes(num_blocks, ROUND_CHUNK)
     tasks += [(_block_chunk, config, dist, i, n) for i, n in enumerate(blocks)]
     parts = _run_tasks(tasks, workers)
     totals = [sum(column) for column in zip(*parts[: len(sizes)])]

@@ -268,18 +268,24 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
     assert np.max(np.abs(survival_prob(t, d) - ref)) <= 3e-15
 
 
-def test_mixture_power_sum_matches_component_loop():
-    # the reference q comes from the component loop, not from survival_prob
+def test_phase_sum_matches_component_loop():
+    # the reference q comes from the component loop, not from survival_prob, and
+    # the mixture sum runs over every relocation count whose weight is above 1e-17
     d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate, 1e-9)
-    u = np.linspace(d.max_uplink * 1e-3, d.max_uplink, 301)
-    p, power = d.success_prob, 9
-    m = np.arange(d.n_max + 1)
-    q = _component_loop_q(ev, d, u + d.move_time * m[:, None])  # row m: q(u + m move_time)
-    ref = (p * (1.0 - p) ** m) @ q**power
-    sums, skipped = ev.mixture_power_sum(u, power, 1e-15)
+    p, tm, power = d.success_prob, d.move_time, 9
+    phi = np.linspace(tm * 1e-3, tm, 31)
+    k = np.arange(math.floor(d.max_uplink / tm) + 1)
+    m = np.arange(math.ceil(math.log(1e-17) / math.log1p(-p)) + 1)
+    j = np.arange(len(k) + len(m))
+    powers = _component_loop_q(ev, d, phi + tm * j[:, None]) ** power  # row j: A_j(phi)
+    mixture = np.array([(p * (1.0 - p) ** m) @ powers[i + m] for i in k])  # row k: S_k(phi)
+    dens = d.uplink_pdf(phi + tm * k[:, None])
+    ref = (dens * mixture).sum(axis=0)
+    sums, skipped = ev.phase_sum(phi, power, 1e-15)
     assert skipped <= 1e-15
-    assert np.max(np.abs(sums - ref)) <= 1e-13 + skipped
+    # each S_k is a mixture of probabilities, so the error scales with sum_k f_up
+    assert np.max(np.abs(sums - ref) / dens.sum(axis=0)) <= 1e-13 + skipped
 
 
 def test_survival_memory_does_not_grow_with_mixture_depth():
@@ -415,6 +421,28 @@ def test_outer_quadrature_count_does_not_grow_with_mixture_depth(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_outer_integrand_nodes_on_fig4(monkeypatch):
+    # a machine-independent work counter: over one relocation period the outer
+    # p_n integral takes 2,400 nodes on the 20 fig4 laws; a walk of the
+    # recurrence per uplink latency u took 29,920
+    nodes = []
+    real = analytic.integrate_adaptive
+
+    def counting(f, *args, **kwargs):
+        def counted(x):
+            nodes.append(np.size(x))
+            return f(x)
+
+        return real(counted, *args, **kwargs)
+
+    for _, _, cfg in preset_jobs("fig4"):
+        no_forking_probability(cfg)  # builds the law's evaluators and their cross-checks
+        monkeypatch.setattr(analytic, "integrate_adaptive", counting)
+        no_forking_probability(cfg)  # the outer integrals alone
+        monkeypatch.undo()
+    assert 0 < sum(nodes) <= 3000
 
 
 @settings(max_examples=8, deadline=None)
@@ -696,12 +724,14 @@ FAST_OR_LARGE = {
         _with_rate(default_config(), 5.0),
         _wireless_only(1.0),
         _fig4_config(0.25, 0.05),  # mixture depth 29
+        _fig4_config(2.0, 0.05),  # mixture depth 1494
         # the reference agrees with a 30-digit mpmath quadrature to 7e-16 here
         _wireless_only(2.0),
         *FAST_OR_LARGE.values(),
     ],
     ids=[
-        "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "wireless_only-2x",
+        "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "fig4-depth-1494",
+        "wireless_only-2x",
         *FAST_OR_LARGE,
     ],
 )

@@ -322,34 +322,34 @@ def test_simulate_worker_count_does_not_change_bytes(tmp_path):
 # numpy build, libm or SIMD path; it must update them and name the columns
 # whose bytes moved in CHANGES.md. The analytic columns are not pinned here.
 STREAM_SIMULATE = {
-    "fork_rate": 0.0136, "p_n": 0.9864, "p_n_se": 0.00163798901095,
-    "rounds_mean": 1.01113636364, "rounds_se": 0.00158220562507,
-    "energy_mean": 4.70270787891, "energy_se": 0.062279978966,
+    "fork_rate": 0.0106, "p_n": 0.9894, "p_n_se": 0.00144828450244,
+    "rounds_mean": 1.01568181818, "rounds_se": 0.00187322083568,
+    "energy_mean": 4.73091600406, "energy_se": 0.0626203226753,
     "s_mean": 0.512240830642, "tm_mean": 0.01051375, "tu_mean": 0.239002748306,
     "system_energy_mean": 35.1178075779, "capped_blocks": 0.0,
 }
 STREAM_FIG4_COLUMNS = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
 STREAM_FIG4 = [
-    (0.9805, 0.00309190475274, 2.29452334979, 0.224874763994, 1.02),
-    (0.981, 0.00305278561317, 2.7339140495, 0.25073991524, 1.05),
-    (0.978, 0.00327993902382, 2.74099601577, 0.27563368433, 1.01),
-    (0.976, 0.00342227994179, 2.88106386686, 0.251546381514, 1.02),
-    (0.9825, 0.00293204280323, 2.78062165884, 0.251830698713, 1.01),
-    (0.9795, 0.00316857617866, 3.20393413868, 0.278062989032, 1.01),
-    (0.9775, 0.00331615364542, 2.62607433973, 0.207958988847, 1.07),
-    (0.979, 0.00320616593457, 2.716191826, 0.238921718236, 1.02),
-    (0.979, 0.00320616593457, 2.63649303771, 0.259221772077, 1.01),
-    (0.9805, 0.00309190475274, 3.07816896847, 0.31698385191, 1.04),
-    (0.941, 0.00526872849936, 4.34470617183, 0.346051006327, 1.06),
-    (0.9775, 0.00331615364542, 3.24183238005, 0.256502401333, 1.0),
-    (0.9825, 0.00293204280323, 2.58955009501, 0.240070017687, 1.03),
-    (0.986, 0.00262716577322, 2.7778318818, 0.245994447364, 1.02),
-    (0.977, 0.00335193973693, 2.6176401829, 0.233741596409, 1.04),
-    (0.73, 0.00992723526466, 23.9540565232, 3.03935468793, 1.37),
-    (0.9445, 0.0051195580864, 4.80063529393, 0.352565875383, 1.06),
-    (0.9795, 0.00316857617866, 3.00174859447, 0.271621465374, 1.02),
-    (0.985, 0.00271799558499, 2.59471001404, 0.200964605633, 1.0),
-    (0.9855, 0.00267298989897, 3.21027201888, 0.314849748527, 1.03),
+    (0.9795, 0.00316857617866, 2.32907586182, 0.231237195141, 1.01),
+    (0.976, 0.00342227994179, 2.5298628677, 0.209352370104, 1.01),
+    (0.976, 0.00342227994179, 2.68025862696, 0.274171497217, 1.0),
+    (0.9775, 0.00331615364542, 2.81565570806, 0.246924174087, 1.0),
+    (0.9825, 0.00293204280323, 2.77253622885, 0.251961491188, 1.0),
+    (0.9795, 0.00316857617866, 3.24262859455, 0.279948548313, 1.01),
+    (0.978, 0.00327993902382, 2.51429787377, 0.202260054334, 1.04),
+    (0.98, 0.0031304951685, 2.71383634662, 0.236829098262, 1.02),
+    (0.98, 0.0031304951685, 2.61481510258, 0.259621236068, 1.01),
+    (0.9785, 0.00324328151723, 3.05669212813, 0.286219873492, 1.02),
+    (0.936, 0.00547284204048, 4.35316146128, 0.343661297945, 1.04),
+    (0.976, 0.00342227994179, 3.2942787635, 0.256528485751, 1.03),
+    (0.99, 0.00222485954613, 2.63142047824, 0.254248609933, 1.02),
+    (0.9835, 0.0028484864402, 2.70170508036, 0.24129864829, 1.01),
+    (0.98, 0.0031304951685, 2.68310323546, 0.257721080424, 1.02),
+    (0.7265, 0.00996739058129, 23.9211072345, 2.75631083529, 1.36),
+    (0.9535, 0.00470838348056, 4.64860420714, 0.309678741377, 1.05),
+    (0.9815, 0.0030131171567, 3.08432583151, 0.272962366818, 1.05),
+    (0.982, 0.00297287739404, 2.59471001404, 0.200964605633, 1.0),
+    (0.9835, 0.0028484864402, 3.1282813774, 0.302364963789, 1.01),
 ]
 
 

@@ -12,23 +12,39 @@ from forkwork import simulator
 from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config
-from forkwork.simulator import MAX_ROUNDS, ROUND_CHUNK, _blocks, _race, _rows, estimate
+from forkwork.simulator import MAX_ROUNDS, ROUND_CHUNK, _blocks, _race, estimate
 
 TWO_ATOMS = DiscreteLatency(atoms=(0.0, 50.0), weights=(0.5, 0.5))
 
 
 def _replay(rng, cfg, dist, count):
     """The race kernel's draws of ``count`` rounds, replayed in its order: the
-    winner's standard exponentials and (moves, uplink, transmission), the
-    candidate counts K, the candidates' lags, and their (moves, uplink,
-    transmission), candidates in round order."""
+    winner's standard exponentials and (moves, uplink, transmission), then step
+    by step the gaps between the next ``width`` lags of each open round, as order
+    statistics of I - 1 Exp(rate) lags, and the (moves, uplink, transmission) of
+    those losers in the rounds whose first of them has a lag below t*. A round
+    stays open while its last lag is below t* and no loser's transmission is
+    below t* less its lag. Returns the winner's draws and, for each loser given
+    a transmission, its round, its slack t* - lag and its draws."""
     rate = cfg.derived.compute_rate
     exp = rng.standard_exponential(count)
     winner = dist.draw(rng, count)
-    reach = -np.expm1(-rate * winner[2])
-    k = rng.binomial(cfg.num_miners - 1, reach)
-    lag = -np.log1p(-rng.random(k.sum()) * np.repeat(reach, k)) / rate
-    return exp, winner, k, lag, dist.draw(rng, k.sum())
+    rounds, slack, left = np.arange(count), winner[2], cfg.num_miners - 1
+    owner, slacks, drawn = [], [], []
+    while left and rounds.size:
+        width = min(left, max(1, ROUND_CHUNK // rounds.size))
+        gaps = rng.standard_exponential((rounds.size, width))
+        lags = np.cumsum(gaps / (np.arange(left, left - width, -1) * rate), axis=1)
+        reach = slack - lags[:, 0] > 0.0
+        rounds, after = rounds[reach], slack[reach, None] - lags[reach]
+        draws = dist.draw(rng, after.shape)
+        owner.append(np.repeat(rounds, width))
+        slacks.append(after.ravel())
+        drawn.append([d.ravel() for d in draws])
+        stay = (after[:, -1] > 0.0) & ~(draws[2] < after).any(axis=1)
+        rounds, slack, left = rounds[stay], after[stay, -1], left - width
+    losers = tuple(np.concatenate(parts) for parts in zip(*drawn))
+    return exp, winner, np.concatenate(owner), np.concatenate(slacks), losers
 
 
 def _argmin_race(rng, cfg, dist, count):
@@ -82,17 +98,11 @@ def test_equal_latency_hook_never_forks():
 
 def test_winner_keeps_an_exact_tie():
     class ZeroLags:
-        """Every exponential and uniform is 0 and every loser a candidate: each
-        loser's ACK lands with the winner's."""
+        """Every exponential is 0, so every loser's lag is 0: each loser's ACK
+        lands with the winner's."""
 
         def standard_exponential(self, shape):
             return np.zeros(shape)
-
-        def binomial(self, n, p):
-            return np.full(np.shape(p), n)
-
-        def random(self, size):
-            return np.zeros(size)
 
     class Constant:
         def draw(self, rng, shape):
@@ -107,11 +117,14 @@ def test_winner_keeps_an_exact_tie():
 def test_round_sample_invariants():
     cfg = default_config(num_miners=9)
     dist = LatencyDistribution.from_config(cfg)
-    exp, winner, k, lag, losers = _replay(substream(3, 0), cfg, dist, 200)
+    exp, winner, owner, slack, losers = _replay(substream(3, 0), cfg, dist, 200)
     assert np.all(exp >= 0)
-    assert np.all((k >= 0) & (k <= 8)) and 0 < k.sum() < 8 * 200
-    # a candidate's lag lies in [0, t*) of its round
-    assert np.all((lag >= 0) & (lag < np.repeat(winner[2], k)))
+    k = np.bincount(owner, minlength=200)  # losers given a transmission, per round
+    assert np.all(k <= 8) and 0 < k.sum() < 8 * 200
+    # a loser's lag t* - slack is non-negative, and the first loser a round is
+    # given a transmission for has a lag below t*
+    assert np.all(slack <= winner[2][owner])
+    assert np.all(slack[np.unique(owner, return_index=True)[1]] > 0)
     for moves, uplink, total in (winner, losers):
         assert np.all((moves >= 0) & (moves == np.floor(moves)))
         assert np.all((uplink > 0) & (uplink <= dist.max_uplink))
@@ -119,31 +132,31 @@ def test_round_sample_invariants():
 
 
 def test_race_winner_energy_formula():
-    cfg = default_config(num_miners=6)
-    dist = LatencyDistribution.from_config(cfg)
-    d = cfg.derived
-    count = 500
-    rng = substream(4, 0)
-    forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, dist, count)
-    after = substream(4, 0)
-    exp, (moves, uplink, total), k, lag, losers = _replay(after, cfg, dist, count)
-    assert rng.random() == after.random()  # the kernel made exactly the replayed draws
-    # round by round: a fork is a candidate whose lag plus transmission beats the
-    # winner's transmission
-    starts = np.concatenate(([0], np.cumsum(k)))
-    arrival = lag + losers[2]
-    expected_forks = [bool(np.any(arrival[a:b] < t)) for a, b, t in zip(starts, starts[1:], total)]
-    assert forked.tolist() == expected_forks
-    assert forked.any() and not forked.all()
-    assert np.array_equal(s_win, exp / (6 * d.compute_rate))
-    assert np.array_equal(move_win, moves * d.move_time_s)
-    assert np.array_equal(up_win, uplink)
-    expected = (
-        cfg.miner.compute_power_w * s_win
-        + cfg.miner.mobility_power_w * moves * d.move_time_s
-        + cfg.channel.tx_power_w * uplink
-    )
-    np.testing.assert_allclose(energy, expected, rtol=1e-12)
+    # at lambda0 = 10 most losers are candidates, so a round takes several of
+    # them, in steps of more than one loser
+    for cfg in (default_config(num_miners=6), _fast_compute(default_config(num_miners=6))):
+        dist = LatencyDistribution.from_config(cfg)
+        d = cfg.derived
+        count = 500
+        rng = substream(4, 0)
+        forked, energy, s_win, move_win, up_win, _ = _race(rng, cfg, dist, count)
+        after = substream(4, 0)
+        exp, (moves, uplink, total), owner, slack, losers = _replay(after, cfg, dist, count)
+        assert rng.random() == after.random()  # the kernel made exactly the replayed draws
+        # round by round: a fork is a loser whose transmission beats the slack t* - lag
+        beats = losers[2] < slack
+        expected_forks = [bool(np.any(beats[owner == r])) for r in range(count)]
+        assert forked.tolist() == expected_forks
+        assert forked.any() and not forked.all()
+        assert np.array_equal(s_win, exp / (6 * d.compute_rate))
+        assert np.array_equal(move_win, moves * d.move_time_s)
+        assert np.array_equal(up_win, uplink)
+        expected = (
+            cfg.miner.compute_power_w * s_win
+            + cfg.miner.mobility_power_w * moves * d.move_time_s
+            + cfg.channel.tx_power_w * uplink
+        )
+        np.testing.assert_allclose(energy, expected, rtol=1e-12)
 
 
 def _fast_compute(cfg):
@@ -266,7 +279,7 @@ def test_block_lanes_match_python_oracle(miners, dist, count, max_rounds):
 )
 def test_block_chunk_draws_only_the_rounds_its_blocks_use(monkeypatch, cfg, dist):
     dist = dist or LatencyDistribution.from_config(cfg)
-    count = _rows(ROUND_CHUNK, cfg.num_miners)
+    count = ROUND_CHUNK
     longest = int(_blocks(cfg, dist, 0, count, MAX_ROUNDS)[0].max())
     drawn = []
 
