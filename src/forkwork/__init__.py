@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 
 # each module and the public names it defines
 _EXPORTS = {
-    "analytic": """QuadratureError evaluate expected_min_compute_latency
+    "analytic": """evaluate expected_min_compute_latency
         expected_mobility_latency expected_uplink_latency integrate_adaptive
         no_forking_probability survival_prob""",
     "channel": "DiscreteLatency LatencyDistribution derive_seed substream uplink_latency",
-    "model": """AnalyticResult ChannelParams ConfigError DerivedParams LatencyModel
-        MinerParams SystemConfig config_digest config_text default_channel default_config
+    "model": """AnalyticResult ChannelParams ConfigError DerivedParams LatencyModel MinerParams
+        QuadratureError SystemConfig config_digest config_text default_channel default_config
         default_miner derive load_config mean_snr parse_config_text""",
     "simulator": "Estimate SimulationSummary estimate",
 }

@@ -49,13 +49,13 @@ E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .channel import DiscreteLatency, LatencyDistribution, pn_tolerances, uplink_latency
-from .model import AnalyticResult, LatencyModel, SystemConfig
+from .model import AnalyticResult, LatencyModel, QuadratureError, SystemConfig
 
 __all__ = [
     "QuadratureError",
@@ -67,20 +67,6 @@ __all__ = [
     "expected_uplink_latency",
     "evaluate",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Integration failed to converge; carries the achieved value and estimate."""
-
-    def __init__(self, message, *, value=float("nan"), error_estimate=float("inf")):
-        super().__init__(f"{message} (value={value!r}, error_estimate={error_estimate!r})")
-        self._message = message
-        self.value = value
-        self.error_estimate = error_estimate
-
-    def __reduce__(self):  # rebuilt from its arguments: a pickle round trip keeps the message
-        rebuild = partial(type(self), value=self.value, error_estimate=self.error_estimate)
-        return rebuild, (self._message,)
 
 
 # --- adaptive quadrature ------------------------------------------------
@@ -528,7 +514,7 @@ def evaluate(config: SystemConfig) -> AnalyticResult:
             error_estimate=p_err,
         )
     exp_min = expected_min_compute_latency(config)
-    exp_up, _ = expected_uplink_latency(config)
+    exp_up, exp_up_err = expected_uplink_latency(config)
     exp_mob = expected_mobility_latency(config)
     round_energy = (
         config.miner.compute_power_w * exp_min
@@ -543,4 +529,5 @@ def evaluate(config: SystemConfig) -> AnalyticResult:
         exp_round_energy=round_energy,
         avg_block_energy=round_energy / p_nofork,
         quadrature_error=p_err,
+        exp_uplink_error=exp_up_err,
     )

@@ -21,11 +21,15 @@ from pathlib import Path
 # wins, and a library user who never imports this module keeps their own.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analytic import QuadratureError, evaluate
+# a command imports the halves it runs, forkwork.analytic and forkwork.simulator, when it runs
 from .channel import derive_seed
 from .model import (
     CONFIG_KEYS,
+    DEFAULT_BLOCKS,
+    DEFAULT_ROUND_TRIALS,
+    MIN_TRIALS,
     ConfigError,
+    QuadratureError,
     SystemConfig,
     config_digest,
     config_from_values,
@@ -36,13 +40,6 @@ from .model import (
     mean_snr,
     parse_flat_text,
     parse_value,
-)
-from .simulator import (
-    DEFAULT_BLOCKS,
-    DEFAULT_ROUND_TRIALS,
-    MIN_TRIALS,
-    _run_tasks,
-    estimate,
 )
 
 __all__ = ["main", "parse_sweep_text", "preset_jobs", "PRESETS"]
@@ -202,13 +199,15 @@ def preset_jobs(name: str) -> list[tuple[str, object, SystemConfig]]:
 
 
 def cmd_analytic(args) -> int:
+    from .analytic import evaluate
     config = load_config(args.config)
     result = evaluate(config)
     _note(f"no-forking probability: {result.no_fork_prob:.10g}"
           f" (error estimate {result.quadrature_error:.3g})")
     _note(f"E[min compute latency]: {result.exp_min_compute:.10g} s")
     _note(f"E[mobility latency]:    {result.exp_mobility:.10g} s")
-    _note(f"E[uplink latency]:      {result.exp_uplink:.10g} s")
+    _note(f"E[uplink latency]:      {result.exp_uplink:.10g} s"
+          f" (error estimate {result.exp_uplink_error:.3g})")
     _note(f"round energy:           {result.exp_round_energy:.10g} J")
     _note(f"avg block energy:       {result.avg_block_energy:.10g} J")
     _emit_csv(ANALYTIC_SCHEMA, [_row(ANALYTIC_SCHEMA, config, result=result)], args.out)
@@ -216,6 +215,7 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import estimate
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
@@ -241,6 +241,8 @@ def _point_job(config: SystemConfig, block_trials: int, round_trials: int):
     """A sweep point's analytic result and simulation summary, each one the
     error that stopped it where one did: returned, not raised, so that one
     point's failure crosses the pool as a value."""
+    from .analytic import evaluate
+    from .simulator import estimate
     try:
         result = evaluate(config)
     except (ConfigError, QuadratureError, ValueError) as exc:
@@ -253,6 +255,9 @@ def _point_job(config: SystemConfig, block_trials: int, round_trials: int):
 
 
 def cmd_sweep(args) -> int:
+    # both halves load here, before any pool starts, so its forked workers inherit them
+    from . import analytic  # noqa: F401
+    from .simulator import _run_tasks
     if args.preset is not None:
         jobs = preset_jobs(args.preset)
         round_trials, block_trials = DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS

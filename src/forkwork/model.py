@@ -16,14 +16,19 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+# a simulation's trial counts, here so that the CLI reads them without the simulator
+MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
+DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "LatencyModel",
     "ConfigError",
+    "QuadratureError",
     "ChannelParams",
     "MinerParams",
     "SystemConfig",
@@ -65,6 +70,20 @@ class ConfigError(ValueError):
 
     def __reduce__(self):  # rebuilt from its messages, not from the joined text
         return type(self), (self.errors,)
+
+
+class QuadratureError(RuntimeError):
+    """Integration failed to converge; carries the achieved value and estimate."""
+
+    def __init__(self, message, *, value=float("nan"), error_estimate=float("inf")):
+        super().__init__(f"{message} (value={value!r}, error_estimate={error_estimate!r})")
+        self._message = message
+        self.value = value
+        self.error_estimate = error_estimate
+
+    def __reduce__(self):  # rebuilt from its arguments: a pickle round trip keeps the message
+        rebuild = partial(type(self), value=self.value, error_estimate=self.error_estimate)
+        return rebuild, (self._message,)
 
 
 @dataclass(frozen=True)
@@ -169,10 +188,10 @@ class DerivedParams:
 class AnalyticResult:
     """Bundle of analytic outputs for one configuration.
 
-    ``quadrature_error`` is the absolute error estimate of ``no_fork_prob``
-    alone. ``exp_uplink`` comes from a quadrature at the same relative
-    tolerance, but its error estimate is not reported, so no error bound
-    covers ``exp_uplink``, ``exp_round_energy`` or ``avg_block_energy``.
+    ``quadrature_error`` is the absolute error estimate of ``no_fork_prob``,
+    and ``exp_uplink_error`` that of ``exp_uplink``, a quadrature at the same
+    relative tolerance. No error bound covers ``exp_round_energy`` or
+    ``avg_block_energy``.
     """
 
     no_fork_prob: float
@@ -182,6 +201,7 @@ class AnalyticResult:
     exp_round_energy: float  # mean winner energy of a single PoW round, J
     avg_block_energy: float  # mean winner energy to commit one block, J
     quadrature_error: float
+    exp_uplink_error: float  # absolute error estimate of exp_uplink, s
 
 
 def wavelength_m(carrier_frequency_hz: float) -> float:

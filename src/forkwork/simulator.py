@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LatencyDistribution, substream
-from .model import SystemConfig
+from .model import DEFAULT_BLOCKS, DEFAULT_ROUND_TRIALS, MIN_TRIALS, SystemConfig
 
 __all__ = [
     "Estimate",
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 ROUND_CHUNK = 4096
-MIN_TRIALS = 100  # fewest rounds, and fewest blocks, that an estimate accepts
-DEFAULT_ROUND_TRIALS, DEFAULT_BLOCKS = 100_000, 2_000  # trial counts when a caller names none
 MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
 BATCHES_PER_WORKER = 4  # a task list reaches the pool in about this many batches per worker
 _ROUND_STREAM = 0

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
-from forkwork import analytic
+import forkwork
+from forkwork import analytic, model
 from forkwork.analytic import (
     QuadratureError,
     expected_min_compute_latency,
@@ -75,6 +76,8 @@ def test_quadrature_error_survives_a_pickle_round_trip():
     assert str(copy) == str(error) == "interval budget exhausted (value=0.25, error_estimate=0.001)"
     assert copy.args == error.args
     assert (copy.value, copy.error_estimate) == (0.25, 1e-3)
+    # it lives in the model, and the package root and the analytic half re-export it
+    assert QuadratureError is model.QuadratureError is forkwork.QuadratureError
 
 
 def test_integrator_rejects_non_finite():
@@ -543,6 +546,20 @@ def test_expected_uplink_bounds_and_sampler():
     rng = substream(31, 1)
     s = d.draw(rng, 1_000_000)[1]
     assert value == pytest.approx(s.mean(), rel=0.01)
+
+
+@pytest.mark.parametrize("tx_power", [0.1, 1.0])
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+def test_expected_uplink_error_estimate_bounds_true_error(tx_power, fraction):
+    # the acceptance grid's links (its miner count does not change the uplink law)
+    cfg = default_config(tx_power_w=tx_power, snr_fraction=fraction)
+    res = evaluate(cfg)
+    assert (res.exp_uplink, res.exp_uplink_error) == expected_uplink_latency(cfg)
+    d = _dist(cfg)
+    ccdf = lambda u: float(d.uplink_ccdf(u))
+    reference, _ = scipy_integrate.quad(ccdf, 0.0, d.max_uplink, epsabs=0.0, epsrel=1e-13)
+    assert 0.0 < res.exp_uplink_error <= cfg.quadrature_tol * res.exp_uplink
+    assert abs(res.exp_uplink - reference) <= res.exp_uplink_error
 
 
 # --- energy bundle ------------------------------------------------------------

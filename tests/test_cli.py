@@ -92,13 +92,13 @@ def test_analytic_stdout_csv(tmp_path, capsys):
 def test_analytic_evaluates_once(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
     calls = []
-    real = cli.evaluate
+    real = analytic.evaluate
 
     def counting(config):
         calls.append(config)
         return real(config)
 
-    monkeypatch.setattr(cli, "evaluate", counting)
+    monkeypatch.setattr(analytic, "evaluate", counting)  # the command imports it when it runs
     assert cli.main(["analytic", path, "--out", str(tmp_path / "row.csv")]) == 0
     assert len(calls) == 1
 
@@ -203,7 +203,7 @@ def test_quadrature_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(config):
         raise QuadratureError("forced", value=0.0, error_estimate=1.0)
 
-    monkeypatch.setattr(cli, "evaluate", boom)
+    monkeypatch.setattr(analytic, "evaluate", boom)
     assert cli.main(["analytic", path]) == 2
     assert "quadrature failure" in capsys.readouterr().err
 

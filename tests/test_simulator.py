@@ -297,7 +297,7 @@ def test_estimate_memory_bounded_in_miner_count():
     cfg = default_config(num_miners=8000)
     tracemalloc.start()
     try:
-        # 300 blocks: three block chunks of 2^20 // 8000 = 131
+        # 300 blocks: one block chunk, as every chunk holds up to ROUND_CHUNK at any I
         estimate(cfg, num_blocks=300, num_round_trials=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -393,7 +393,10 @@ def test_estimate_seed_changes_results():
     cfg = default_config(num_miners=5)
     a = estimate(cfg, num_blocks=100, num_round_trials=2000)
     b = estimate(replace(cfg, rng_seed=43), num_blocks=100, num_round_trials=2000)
-    assert a.no_fork_prob != b.no_fork_prob
+    # continuous means of the round and the block stream: the fork count, about
+    # 20 in 2,000 rounds, can tie between two seeds
+    assert a.mean_winner_compute.value != b.mean_winner_compute.value
+    assert a.mean_block_energy.value != b.mean_block_energy.value
 
 
 def test_estimate_ci_width_small_sample_binomial():

@@ -1,7 +1,9 @@
-"""What a fresh process loads: ``import forkwork`` alone loads no numpy, a CLI
-command loads no pool machinery and no ``numpy.ma`` it does not use, and the
-CLI caps the BLAS threads before numpy loads. Each check runs in a child
-interpreter, since this process has long since imported all of it."""
+"""What a fresh process loads: ``import forkwork`` alone loads no numpy,
+``import forkwork.cli`` loads neither the analytic nor the simulator half, a
+CLI command loads no pool machinery, no ``numpy.ma`` and no half it does not
+use, a sweep loads both halves before it starts a pool, and the CLI caps the
+BLAS threads before numpy loads. Each check runs in a child interpreter, since
+this process has long since imported all of it."""
 
 import os
 import subprocess
@@ -54,12 +56,21 @@ def test_every_exported_name_resolves_and_is_listed():
         forkwork.no_such_name  # noqa: B018
 
 
+HALVES = ("forkwork.analytic", "forkwork.simulator")
+
+
 @pytest.mark.parametrize(
-    "args",
-    [["analytic"], ["simulate", "--trials", "2000", "--blocks", "100", "--workers", "1"]],
+    "args, other_half",
+    [
+        (["analytic"], ("forkwork.simulator", "numpy.random")),
+        (
+            ["simulate", "--trials", "2000", "--blocks", "100", "--workers", "1"],
+            ("forkwork.analytic", "numpy.polynomial"),
+        ),
+    ],
     ids=["analytic", "simulate-1-worker"],
 )
-def test_cli_command_loads_no_pool_machinery_or_numpy_ma(tmp_path, args):
+def test_cli_command_loads_no_pool_machinery_or_numpy_ma(tmp_path, args, other_half):
     config = tmp_path / "config.txt"
     config.write_text(config_text(default_config()))
     out = tmp_path / "out.csv"
@@ -69,10 +80,36 @@ def test_cli_command_loads_no_pool_machinery_or_numpy_ma(tmp_path, args):
         "from forkwork.cli import main\n"
         f"assert main({command!r}) == 0\n"
         "unused = ('multiprocessing', 'concurrent.futures.process', 'numpy.ma')\n"
+        f"unused += {other_half!r}\n"
         "print(sorted(m for m in unused if m in sys.modules))\n"
     )
     assert _child(code) == "[]\n"
     assert out.read_text().count("\n") == 2  # the command ran: header and one row
+
+
+def test_cli_import_loads_neither_half_and_sweep_both_before_its_pool(tmp_path):
+    # the halves that import forkwork.cli loaded, then those loaded when the
+    # sweep enters _run_tasks, which forks the workers that inherit them
+    spec = tmp_path / "spec.txt"
+    sweep_keys = "sweep_param = num_miners\nsweep_values = 1, 2\n"
+    spec.write_text(config_text(default_config()) + sweep_keys)
+    command = ["sweep", str(spec), "--trials", "100", "--blocks", "100", "--workers", "2",
+               "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import sys\n"
+        f"halves = lambda: sorted(m for m in {HALVES!r} if m in sys.modules)\n"
+        "import forkwork.cli\n"
+        "seen = [halves()]\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '_run_tasks' and len(seen) == 1:\n"
+        "        seen.append(halves())\n"
+        "sys.setprofile(watch)\n"
+        f"code = forkwork.cli.main({command!r})\n"
+        "sys.setprofile(None)\n"
+        "assert code == 0\n"
+        "print(seen)\n"
+    )
+    assert _child(code) == f"[[], {sorted(HALVES)!r}]\n"
 
 
 # Records the value of OPENBLAS_NUM_THREADS at the moment numpy is first
