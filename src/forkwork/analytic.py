@@ -17,10 +17,10 @@ with the outer expectation over the winner's own transmission latency.
 For the relocation mixture T = move_time * N + T_up everything reduces to
 one reusable object: the decayed cumulative uplink integral
 G(x) = integral_onset^x exp(-rate (x - u)) f_up(u) du, which is at most 1 at
-any rate. G is approximated once per configuration by a piecewise Chebyshev
-series and cross-checked against adaptive quadrature; q is then closed-form
-arithmetic. Shifting the lag by one relocation gives the exact, contracting
-recurrence
+any rate. G is approximated once per law and compute rate by a piecewise
+Chebyshev series, to one fixed coefficient tolerance, and cross-checked against
+adaptive quadrature; q is then closed-form arithmetic. Shifting the lag by one
+relocation gives the exact, contracting recurrence
 
     q(t + move_time) = p g(t + move_time) + (1 - p) q(t),
 
@@ -38,8 +38,12 @@ summed once into S at the window's end. The integrand's one breakpoint is
 where a lag crosses max_up, phi* = max_up - floor(max_up / move_time) * move_time.
 A law that never relocates keeps the plain integral over u.
 
-The error estimate of p_no_fork adds: the outer quadrature's; the mixture
-truncation's (the weight past n_max, the terms below the floor); and the fit's.
+p_no_fork takes one pass, whose tolerances scale with p_no_fork or belong to
+the law: the outer quadrature stops at a relative target of 0.1 quadrature_tol,
+and the sums over the mixture skip terms below the law's tail weight
+(1 - p)^(n_max + 1), the weight past n_max. Its error estimate adds: the outer
+quadrature's; the mixture truncation's (that tail weight, and the skipped
+terms); and the fit's.
 With delta the cross-check's absolute error on G, hence on q, and n = I - 1,
 E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
 inequality (t^((n-1)/n) is concave), where
@@ -54,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .channel import DiscreteLatency, LatencyDistribution, pn_tolerances, uplink_latency
+from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
 from .model import AnalyticResult, LatencyModel, QuadratureError, SystemConfig
 
 __all__ = [
@@ -79,7 +83,7 @@ __all__ = [
 # integrand must accept numpy arrays; each pass evaluates it once, on every panel's nodes.
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_ROUND_OFF = 50.0 * np.finfo(float).eps
+_ROUND_OFF = 50.0 * float(np.finfo(float).eps)
 
 
 def _gl_panels(f, los, his):
@@ -237,7 +241,7 @@ class _SurvivalEvaluator:
     past the uplink window. q itself carries no mixture truncation error.
     """
 
-    def __init__(self, dist: LatencyDistribution, rate: float, tol: float):
+    def __init__(self, dist: LatencyDistribution, rate: float):
         self.dist = dist
         self.rate = rate = float(rate)
         hi = dist.max_uplink
@@ -250,8 +254,10 @@ class _SurvivalEvaluator:
             # beyond this count p (1-p)^n underflows to an exact 0
             self._n_zero = math.ceil(750.0 / -self._log_stay)
             self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
+        # the mixture weight past n_max; mixture sums also stop at terms below it
+        self.tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if self.relocates else 0.0
 
-        self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi, max(1e-3 * tol, 1e-15))
+        self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi, 1e-14)
         self.carry = self._decayed.total
 
         # independent cross-check of G at three probes; its error is absolute on G
@@ -328,7 +334,7 @@ class _SurvivalEvaluator:
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
 
-    def phase_sum(self, phi, power: int, floor: float):
+    def phase_sum(self, phi, power: int):
         """sum_k f_up(phi + k move_time) S_k(phi) for phases phi in (0, min(move_time, max_up)]
         (see the module docstring). One walk gives A_j from the onset (below it
         q = 1 and f_up = 0) up to the last lag with uplink density, j = last, and
@@ -352,14 +358,14 @@ class _SurvivalEvaluator:
             for k, q in self._walk(ph, last):
                 mixed = stay * mixed + dens[k]
                 total += p * mixed * q**power
-            tail, cut = self._beyond_sum(q, ph + last * tm, power, floor)
+            tail, cut = self._beyond_sum(q, ph + last * tm, power)
             out[start : start + rows] = total + stay * mixed * tail
             skipped = max(skipped, cut)
         return out, skipped
 
-    def _beyond_sum(self, q_last, x_last, power, floor):
+    def _beyond_sum(self, q_last, x_last, power):
         """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i <= n_max, in
-        blocks of i until the terms left are below ``floor``; returns (sums, skipped)."""
+        blocks of i until the terms left are below the tail weight; returns (sums, skipped)."""
         p, n_max = self.dist.success_prob, self.dist.n_max
         total = np.zeros(q_last.shape)
         cols = max(16, _BLOCK // len(q_last))
@@ -368,12 +374,12 @@ class _SurvivalEvaluator:
             qj = self._beyond(q_last[:, None], x_last[:, None], j) ** power
             total += qj @ (p * np.exp((j - 1.0) * self._log_stay))
             rest = float(np.max(qj[:, -1])) * math.exp(j[-1] * self._log_stay)
-            if rest <= floor:
+            if rest <= self.tail:
                 return total, rest
         return total, 0.0
 
 
-_evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate, tol) -> evaluator
+_evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate) -> evaluator
 
 
 def _discrete_survival(t_star, dist: DiscreteLatency, rate: float):
@@ -396,45 +402,21 @@ def survival_prob(t_star, dist, compute_rate: float | None = None):
             raise ValueError("compute_rate is required with a DiscreteLatency")
         return _discrete_survival(t_star, dist, compute_rate)
     rate = dist.compute_rate if compute_rate is None else compute_rate
-    return _evaluator(dist, float(rate), 1e-9).survival(t_star)
+    return _evaluator(dist, float(rate)).survival(t_star)
 
 
 # --- no-forking probability ----------------------------------------------
-
-
-def _pn_attempt(dist, num_miners, rate, tol, eps_comp, floor, inner_tol):
-    ev = _evaluator(dist, rate, inner_tol)
-    hi, n, skipped = dist.max_uplink, num_miners - 1, 0.0
-
-    def integrand(phi):
-        nonlocal skipped
-        sums, cut = ev.phase_sum(phi, n, floor)
-        skipped = max(skipped, cut)
-        return sums
-
-    span, points, tail = hi, (), 0.0
-    if ev.relocates:  # over the phase phi = u mod move_time; a lag crosses max_up at phi*
-        tm = dist.move_time
-        span, points = min(tm, hi), [hi - math.floor(hi / tm) * tm]
-        tail = (1.0 - dist.success_prob) ** (dist.n_max + 1)
-    value, quad_err = integrate_adaptive(
-        integrand, 0.0, span, rel_tol=0.1 * tol, abs_tol=eps_comp, points=points
-    )
-    rest = quad_err + tail + skipped
-    delta = ev.error  # the fit's term, bounded as in the module docstring
-    spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
-    return value, rest + n * delta * (value + rest + spread) ** ((n - 1) / n)
 
 
 def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, float]:
     """Probability that a single PoW round commits without forking.
 
     Returns (value, absolute error estimate). The estimate satisfies
-    ``error <= quadrature_tol * value``; if that cannot be reached even after
-    a refinement pass, :class:`QuadratureError` is raised with the achieved
-    numbers. A ``dist`` override substitutes the transmission-latency law
-    (e.g. a :class:`DiscreteLatency`, evaluated in closed form); the compute
-    rate is always ``config``'s.
+    ``error <= quadrature_tol * value``; if it does not,
+    :class:`QuadratureError` is raised with the achieved numbers. A ``dist``
+    override substitutes the transmission-latency law (e.g. a
+    :class:`DiscreteLatency`, evaluated in closed form); the compute rate is
+    always ``config``'s.
     """
     num = config.num_miners
     if num == 1:
@@ -450,14 +432,24 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
         return float(weights @ q ** (num - 1)), 0.0
 
     tol = config.quadrature_tol
-    inner = max(1e-13, 1e-3 * tol)
-    value, err = _pn_attempt(dist, num, rate, tol, *pn_tolerances(tol, 1.0), inner)
-    if err <= tol * value:
-        return value, err
-    # refine against the measured magnitude (matters when p_n is small)
-    scale = max(value, 1e-300)
-    inner2 = max(1e-14, 1e-3 * tol * scale)
-    value, err = _pn_attempt(dist, num, rate, tol, *pn_tolerances(tol, scale), inner2)
+    ev = _evaluator(dist, rate)
+    hi, n, skipped = dist.max_uplink, num - 1, 0.0
+
+    def integrand(phi):
+        nonlocal skipped
+        sums, cut = ev.phase_sum(phi, n)
+        skipped = max(skipped, cut)
+        return sums
+
+    span, points = hi, ()
+    if ev.relocates:  # over the phase phi = u mod move_time; a lag crosses max_up at phi*
+        tm = dist.move_time
+        span, points = min(tm, hi), [hi - math.floor(hi / tm) * tm]
+    value, quad_err = integrate_adaptive(integrand, 0.0, span, rel_tol=0.1 * tol, points=points)
+    rest = quad_err + ev.tail + skipped
+    delta = ev.error  # the fit's term, bounded as in the module docstring
+    spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
+    err = rest + n * delta * (value + rest + spread) ** ((n - 1) / n)
     if err <= tol * value:
         return value, err
     raise QuadratureError(

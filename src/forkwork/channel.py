@@ -68,14 +68,6 @@ def uplink_latency(snr, ack_bits: float, bandwidth_hz: float, out=None):
     return np.divide(ack_bits * _LN2 / bandwidth_hz, log, out=out)
 
 
-def pn_tolerances(quadrature_tol: float, scale: float) -> tuple[float, float]:
-    """(absolute tolerance, mixture floor) of a p_n pass at p_n magnitude ``scale``:
-    0.1 * quadrature_tol * scale, and 1e-3 of that. Mixture terms below the floor
-    are dropped; a law's depth n_max is sized to the first pass's (``scale`` 1)."""
-    abs_tol = 0.1 * quadrature_tol * scale
-    return abs_tol, 1e-3 * abs_tol
-
-
 def _truncation_depth(success_prob: float, tail_mass: float) -> int:
     """Smallest n with (1 - p)^(n + 1) <= tail_mass, in closed form."""
     if success_prob >= 1.0:
@@ -111,7 +103,7 @@ class LatencyDistribution:
     variant: LatencyModel
     max_uplink: float
     success_prob: float
-    n_max: int  # mixture depth, sized from quadrature_tol by pn_tolerances
+    n_max: int  # mixture depth: tail weight (1 - p)^(n_max + 1) <= 1e-4 quadrature_tol
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "LatencyDistribution":
@@ -125,7 +117,7 @@ class LatencyDistribution:
             )
         n_max = 0
         if config.latency_model is LatencyModel.TOTAL:
-            n_max = _truncation_depth(d.success_prob, pn_tolerances(config.quadrature_tol, 1.0)[1])
+            n_max = _truncation_depth(d.success_prob, 1e-4 * config.quadrature_tol)
         if not math.isfinite((1.0 - d.success_prob) / d.success_prob):  # a subnormal p
             raise ConfigError(
                 [

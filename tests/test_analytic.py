@@ -250,7 +250,7 @@ def _component_loop_q(ev, d, t):
 
 def test_survival_window_matches_component_loop():
     d = _dist(_fig4_config(1.0, 0.05))  # mixture depth 190
-    ev = analytic._evaluator(d, d.compute_rate, 1e-9)
+    ev = analytic._evaluator(d, d.compute_rate)
     assert d.uplink_cdf(ev._onset) == 0.0  # no mass below the onset
     t = np.linspace(-0.01, d.n_max * d.move_time + 2 * d.max_uplink, 997)
     assert np.max(np.abs(survival_prob(t, d) - _component_loop_q(ev, d, t))) <= 1e-14
@@ -260,7 +260,7 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
     # here rho = exp(-rate move_time) is above 1 - p; summing the closed form
     # from its smallest term once cost 2.7e-14 at 48 steps past the window
     d = _dist(_fig4_config(0.5, 0.5))
-    ev = analytic._evaluator(d, d.compute_rate, 1e-9)
+    ev = analytic._evaluator(d, d.compute_rate)
     p, tm = d.success_prob, d.move_time
     assert math.exp(-d.compute_rate * tm) > 1.0 - p
     t = d.max_uplink + 47 * tm + np.linspace(0.0, tm, 101)[1:]
@@ -273,9 +273,10 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
 
 def test_phase_sum_matches_component_loop():
     # the reference q comes from the component loop, not from survival_prob, and
-    # the mixture sum runs over every relocation count whose weight is above 1e-17
-    d = _dist(_fig4_config(1.0, 0.05))
-    ev = analytic._evaluator(d, d.compute_rate, 1e-9)
+    # the mixture sum runs over every relocation count whose weight is above 1e-17;
+    # at quadrature_tol 1e-11 the law's tail weight, below which terms are skipped, is <= 1e-15
+    d = _dist(replace(_fig4_config(1.0, 0.05), quadrature_tol=1e-11))
+    ev = analytic._evaluator(d, d.compute_rate)
     p, tm, power = d.success_prob, d.move_time, 9
     phi = np.linspace(tm * 1e-3, tm, 31)
     k = np.arange(math.floor(d.max_uplink / tm) + 1)
@@ -285,7 +286,7 @@ def test_phase_sum_matches_component_loop():
     mixture = np.array([(p * (1.0 - p) ** m) @ powers[i + m] for i in k])  # row k: S_k(phi)
     dens = d.uplink_pdf(phi + tm * k[:, None])
     ref = (dens * mixture).sum(axis=0)
-    sums, skipped = ev.phase_sum(phi, power, 1e-15)
+    sums, skipped = ev.phase_sum(phi, power)
     assert skipped <= 1e-15
     # each S_k is a mixture of probabilities, so the error scales with sum_k f_up
     assert np.max(np.abs(sums - ref) / dens.sum(axis=0)) <= 1e-13 + skipped
@@ -424,6 +425,23 @@ def test_outer_quadrature_count_does_not_grow_with_mixture_depth(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_one_fit_and_one_outer_integral_per_law(monkeypatch):
+    # where p_n once took a second pass and a second fit
+    analytic._evaluator.cache_clear()
+    survival_prob(0.1, _dist(WIRELESS_FAST))
+    calls = []
+    real = analytic.integrate_adaptive
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate_adaptive", counting)
+    no_forking_probability(WIRELESS_FAST)
+    assert analytic._evaluator.cache_info().currsize == 1
+    assert len(calls) == 1
 
 
 def test_outer_integrand_nodes_on_fig4(monkeypatch):
@@ -716,6 +734,10 @@ def _wireless_only(snr_fraction):
     return default_config(snr_fraction=snr_fraction, latency_model=LatencyModel.WIRELESS_ONLY)
 
 
+# p_n 0.04: an absolute outer target of 1e-9 once fell short of tol * p_n = 4e-10
+WIRELESS_FAST = _with_rate(default_config(50, latency_model=LatencyModel.WIRELESS_ONLY), 40.0)
+
+
 def _random_total(num_miners, tx_power_w, snr_fraction, lambda0):
     cfg = default_config(num_miners, tx_power_w=tx_power_w, snr_fraction=snr_fraction)
     return _with_rate(cfg, lambda0)
@@ -744,11 +766,12 @@ FAST_OR_LARGE = {
         _fig4_config(2.0, 0.05),  # mixture depth 1494
         # the reference agrees with a 30-digit mpmath quadrature to 7e-16 here
         _wireless_only(2.0),
+        WIRELESS_FAST,
         *FAST_OR_LARGE.values(),
     ],
     ids=[
         "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "fig4-depth-1494",
-        "wireless_only-2x",
+        "wireless_only-2x", "wireless_only-I=50-lambda0=40",
         *FAST_OR_LARGE,
     ],
 )

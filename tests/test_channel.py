@@ -10,7 +10,6 @@ from scipy import stats
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
-    pn_tolerances,
     substream,
     uplink_latency,
 )
@@ -19,7 +18,7 @@ from forkwork.model import ConfigError, LatencyModel, default_config, derive
 from forkwork.simulator import _race
 
 RATE = 0.32  # default compute rate
-TAIL = pn_tolerances(default_config().quadrature_tol, 1.0)[1]  # mixture mass past the default n_max
+TAIL = 1e-4 * default_config().quadrature_tol  # mixture mass past the default n_max
 
 
 def _dist(**overrides) -> LatencyDistribution:

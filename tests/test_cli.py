@@ -208,6 +208,16 @@ def test_quadrature_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "quadrature failure" in capsys.readouterr().err
 
 
+def test_quadrature_failure_reports_plain_floats(tmp_path, capsys):
+    # at I = 1,000,000 the fit's term (I - 1) delta passes the error budget
+    path = _write_config(tmp_path, default_config(1_000_000))
+    assert cli.main(["analytic", path]) == 2
+    err = capsys.readouterr().err
+    assert "quadrature failure" in err and "np.float64" not in err
+    result = evaluate(default_config())
+    assert type(result.quadrature_error) is float and type(result.exp_uplink_error) is float
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["analytic"]) == 1
     assert cli.main(["not-a-command"]) == 1
