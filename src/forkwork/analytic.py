@@ -42,8 +42,10 @@ p_no_fork takes one pass, whose tolerances scale with p_no_fork or belong to
 the law: the outer quadrature stops at a relative target of 0.1 quadrature_tol,
 and the sums over the mixture skip terms below the law's tail weight
 (1 - p)^(n_max + 1), the weight past n_max. Its error estimate adds: the outer
-quadrature's; the mixture truncation's (that tail weight, and the skipped
-terms); and the fit's.
+quadrature's; the mixture truncation's; and the fit's. The truncation's is the
+skipped terms plus that tail weight times min(1, q~(onset + (n_max + 1)
+move_time) + delta)^(I - 1): f_up is 0 below the uplink onset and q does not rise
+with the lag, so no component past n_max has a lag below that.
 With delta the cross-check's absolute error on G, hence on q, and n = I - 1,
 E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
 inequality (t^((n-1)/n) is concave), where
@@ -446,7 +448,8 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
         tm = dist.move_time
         span, points = min(tm, hi), [hi - math.floor(hi / tm) * tm]
     value, quad_err = integrate_adaptive(integrand, 0.0, span, rel_tol=0.1 * tol, points=points)
-    rest = quad_err + ev.tail + skipped
+    reach = ev.survival(ev._onset + (dist.n_max + 1) * dist.move_time) if ev.relocates else 1.0
+    rest = quad_err + ev.tail * min(1.0, reach + ev.error) ** n + skipped  # see module docstring
     delta = ev.error  # the fit's term, bounded as in the module docstring
     spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
     err = rest + n * delta * (value + rest + spread) ** ((n - 1) / n)

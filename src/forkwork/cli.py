@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimates for one config")
     p_sim.add_argument("config", help="path to a flat key=value config file")
     p_sim.add_argument("--trials", type=trials, default=rounds, help="independent PoW rounds")
-    p_sim.add_argument("--blocks", type=trials, default=blocks, help="independent block recoveries")
+    p_sim.add_argument("--blocks", type=trials, default=blocks, help="blocks from the round stream")
     p_sim.add_argument("--seed", type=seed, default=None, help="override the config rng_seed")
     p_sim.add_argument("--workers", type=workers, default=1, help="processes splitting the chunks")
     p_sim.add_argument("--out", default="-", help="CSV destination (default stdout)")

@@ -7,7 +7,7 @@ and a forked block is recovered by racing again.
 
 Estimates are bit-reproducible: work is split into chunks of a fixed
 size, each chunk draws from a substream derived from (seed, stream
-tag, chunk index), and partial sums are reduced in chunk order. The worker
+tag, chunk index), and the chunks are folded in chunk order. The worker
 count therefore never changes any result, only wall-clock time.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,19 +23,12 @@ import numpy as np
 from .channel import LatencyDistribution, substream
 from .model import DEFAULT_BLOCKS, DEFAULT_ROUND_TRIALS, MIN_TRIALS, SystemConfig
 
-__all__ = [
-    "Estimate",
-    "SimulationSummary",
-    "estimate",
-    "ROUND_CHUNK",
-    "MIN_TRIALS",
-]
+__all__ = ["Estimate", "SimulationSummary", "estimate", "ROUND_CHUNK", "MIN_TRIALS"]
 
 ROUND_CHUNK = 4096
 MAX_ROUNDS = 10_000  # rounds a block races before it is cut off as capped
 BATCHES_PER_WORKER = 4  # a task list reaches the pool in about this many batches per worker
 _ROUND_STREAM = 0
-_BLOCK_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -126,56 +120,35 @@ def _race(rng: np.random.Generator, config: SystemConfig, dist, count: int):
 
 
 def _round_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
-    """Simulate ``count`` independent rounds; return commutative partial sums."""
+    """Race ``count`` rounds: partial sums, then each round's fork flag and winner energy."""
     rng = substream(config.rng_seed, _ROUND_STREAM, chunk_index)
-    forked, _, *values = _race(rng, config, dist, count)
+    forked, energy, *values = _race(rng, config, dist, count)
     sums = [count, int(np.count_nonzero(forked))]
     for v in values:
         sums += [float(v.sum()), float((v**2).sum())]
-    return tuple(sums)
+    return tuple(sums), forked, energy
 
 
-def _blocks(config: SystemConfig, dist, chunk_index: int, count: int, max_rounds: int):
-    """Rounds, winner energy and cap flag of each of ``count`` blocks.
+def _cut(forked, energy, carry: tuple[int, float], want: int):
+    """The first ``want`` blocks that close in one chunk of the round stream.
 
-    A block races rounds until one commits without forking, or until
-    ``max_rounds`` rounds have all forked (a capped block, flagged, never
-    silent); every round's winner energy counts, the committing one too. Each
-    step races one round for every block still open, in block order, in one
-    _race call on the chunk's substream, and keeps open the blocks whose round
-    forked. No round is drawn that no block uses, and the steps follow from the
-    substream alone, so they are the same for every worker count.
+    A block closes at its first round that commits, or is capped at its
+    MAX_ROUNDS-th round if they all forked; every round's winner energy counts.
+    The open block carried in holds ``carry`` = (forked rounds, their energy);
+    past the last commit, the open block holds the forks since then modulo
+    MAX_ROUNDS. Returns the rounds, energy and cap flag of each closed block,
+    and the carry of the block left open.
     """
-    rng = substream(config.rng_seed, _BLOCK_STREAM, chunk_index)
-    rounds, energy = np.zeros(count, dtype=np.int64), np.zeros(count)
-    lanes = np.arange(count)  # the open blocks
-    for _ in range(max_rounds):
-        forked, win_energy = _race(rng, config, dist, lanes.size)[:2]
-        rounds[lanes] += 1
-        energy[lanes] += win_energy
-        lanes = lanes[forked]
-        if lanes.size == 0:
-            break
-    capped = np.zeros(count, dtype=bool)
-    capped[lanes] = True
-    return rounds, energy, capped
-
-
-def _block_chunk(config: SystemConfig, dist, chunk_index: int, count: int):
-    rounds, energy, capped = _blocks(config, dist, chunk_index, count, MAX_ROUNDS)
-    return (
-        count,
-        float(rounds.sum()),
-        float((rounds**2).sum()),
-        float(energy.sum()),
-        float((energy**2).sum()),
-        int(np.count_nonzero(capped)),
-    )
-
-
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    held, held_energy = carry
+    at = np.arange(forked.size)
+    last = np.maximum.accumulate(np.where(forked, -1 - held, at))  # last commit up to each round
+    depth = (at - np.r_[-1 - held, last[:-1]] - 1) % MAX_ROUNDS  # rounds the open block holds
+    ends = np.flatnonzero(~forked | (depth == MAX_ROUNDS - 1))[:want]
+    # the energy of each closed block, then of the open one
+    spent = np.add.reduceat(np.append(energy, 0.0), np.r_[0, ends + 1])
+    spent[0] += held_energy
+    rest = ends[-1] + 1 if ends.size else -held  # the open block's first round
+    return depth[ends] + 1, spent[:-1], forked[ends], (forked.size - rest, float(spent[-1]))
 
 
 def _mean_se(n: int, total: float, total_sq: float) -> Estimate:
@@ -196,23 +169,32 @@ def _call(task):
     return fn(*args)
 
 
-def _run_tasks(tasks, workers: int) -> list:
-    """Every task ``(fn, *args)`` run once, results in task order.
+@contextmanager
+def _runner(workers: int):
+    """Enter a ``run(tasks)`` that iterates over each task ``(fn, *args)``'s result, in task order.
 
-    More than one worker starts a pool for this list alone, sized at most
-    the CPUs this process may run on, and joins it before returning. The list
+    More than one worker starts one pool, sized at most the CPUs this process
+    may run on, that every ``run`` shares and that is joined on leaving. A list
     goes to the pool in one ``map`` call, in about BATCHES_PER_WORKER batches
     per worker, so a batch of small tasks pays one round trip; one worker runs
-    the same list here.
+    the tasks here, one at a time.
     """
     workers = min(workers, _cpu_count())
-    if workers <= 1 or len(tasks) <= 1:
-        return [_call(task) for task in tasks]
+    if workers <= 1:
+        yield lambda tasks: map(_call, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
 
-    batch = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, tasks, chunksize=batch))
+        yield lambda tasks: pool.map(
+            _call, tasks, chunksize=math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
+        )
+
+
+def _run_tasks(tasks, workers: int) -> list:
+    """Every task run once, results in task order; a single task starts no pool."""
+    with _runner(workers if len(tasks) > 1 else 1) as run:
+        return list(run(tasks))
 
 
 def estimate(
@@ -223,41 +205,56 @@ def estimate(
     workers: int = 1,
     dist=None,
 ) -> SimulationSummary:
-    """Monte Carlo estimates: fork rate from independent rounds, energy and
-    recovery length from independent blocks.
+    """Monte Carlo estimates from one stream of independent rounds: fork rate
+    and winner means from its first ``num_round_trials`` rounds, energy and
+    recovery length from its first ``num_blocks`` blocks (see _cut).
 
-    The rounds and the blocks are cut into chunks of ROUND_CHUNK rounds or
-    blocks each, the chunks run on ``workers`` processes (see
-    _run_tasks), and their partial sums are added in chunk order.
-    Deterministic given (config.rng_seed, config): results are bit-identical
-    across runs and across worker counts.
+    The rounds are cut into chunks of ROUND_CHUNK, run on ``workers`` processes
+    (see _runner), and folded in chunk order. If the rounds hold fewer blocks
+    than asked, further chunks of the same stream, sized from the rate at which
+    blocks closed so far, serve the blocks alone. Deterministic given
+    (config.rng_seed, config): results are bit-identical across runs and across
+    worker counts.
     """
     if num_round_trials < MIN_TRIALS or num_blocks < MIN_TRIALS:
         raise ValueError(f"trial counts must be >= {MIN_TRIALS}")
     if dist is None:
         dist = LatencyDistribution.from_config(config)
-    sizes = _chunk_sizes(num_round_trials, ROUND_CHUNK)
-    tasks = [(_round_chunk, config, dist, i, n) for i, n in enumerate(sizes)]
-    blocks = _chunk_sizes(num_blocks, ROUND_CHUNK)
-    tasks += [(_block_chunk, config, dist, i, n) for i, n in enumerate(blocks)]
-    parts = _run_tasks(tasks, workers)
-    totals = [sum(column) for column in zip(*parts[: len(sizes)])]
+    full, rest = divmod(num_round_trials, ROUND_CHUNK)
+    passes = [ROUND_CHUNK] * full + [rest] * (rest > 0)  # first the round trials' chunks
+    trial_chunks, index = len(passes), 0
+    totals, blocks = [0] * 10, [0] * 6  # blocks: count, rounds, rounds^2, energy, energy^2, capped
+    carry, cut = (0, 0.0), 0  # the open block's rounds and energy, the rounds cut
+    with _runner(workers) as run:
+        while passes:
+            tasks = [(_round_chunk, config, dist, index + i, n) for i, n in enumerate(passes)]
+            for sums, forked, energy in run(tasks):
+                if index < trial_chunks:
+                    totals = [a + b for a, b in zip(totals, sums)]
+                index += 1
+                if blocks[0] < num_blocks:  # past that, a chunk serves the round totals alone
+                    want = num_blocks - blocks[0]
+                    rounds, spent, capped, carry = _cut(forked, energy, carry, want)
+                    cut += forked.size
+                    closed = (rounds.size, int(rounds.sum()), int((rounds**2).sum()),
+                              float(spent.sum()), float((spent**2).sum()), int(capped.sum()))
+                    blocks = [a + b for a, b in zip(blocks, closed)]
+            rate = max(blocks[0] / cut, 1.0 / MAX_ROUNDS)  # a block closes within MAX_ROUNDS rounds
+            passes = [ROUND_CHUNK] * math.ceil(1.1 * (num_blocks - blocks[0]) / rate / ROUND_CHUNK)
     n = totals[0]
     fork_rate = totals[1] / n
     fork_se = math.sqrt(fork_rate * (1.0 - fork_rate) / n)
-    totals_b = [sum(column) for column in zip(*parts[len(sizes) :])]
-    nb = totals_b[0]
     return SimulationSummary(
         fork_rate=Estimate(fork_rate, fork_se),
         no_fork_prob=Estimate(1.0 - fork_rate, fork_se),
-        mean_rounds=_mean_se(nb, totals_b[1], totals_b[2]),
-        mean_block_energy=_mean_se(nb, totals_b[3], totals_b[4]),
+        mean_rounds=_mean_se(blocks[0], blocks[1], blocks[2]),
+        mean_block_energy=_mean_se(blocks[0], blocks[3], blocks[4]),
         mean_winner_compute=_mean_se(n, totals[2], totals[3]),
         mean_winner_move=_mean_se(n, totals[4], totals[5]),
         mean_winner_uplink=_mean_se(n, totals[6], totals[7]),
         mean_system_energy=_mean_se(n, totals[8], totals[9]),
         round_trials=n,
-        block_trials=nb,
-        capped_blocks=int(totals_b[5]),
+        block_trials=blocks[0],
+        capped_blocks=blocks[5],
         config=config,
     )

@@ -755,6 +755,17 @@ FAST_OR_LARGE = {
 }
 
 
+# relocating laws with p_n between 1e-6 and 1e-4, whose error budget once held
+# the mixture's whole tail weight, about 7e-13; in the two random ones
+# (n_max + 1) move_time lies below the uplink onset
+SMALL_PN = {
+    "I=100000-lambda0=40": _with_rate(default_config(100_000), 40.0),
+    "I=50000-lambda0=100": _with_rate(default_config(50_000), 100.0),
+    "random-94957": _random_total(94957, 0.07633, 0.4563, 150.1),
+    "random-293752": _random_total(293752, 0.02612, 0.1835, 111.5),
+}
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -768,11 +779,13 @@ FAST_OR_LARGE = {
         _wireless_only(2.0),
         WIRELESS_FAST,
         *FAST_OR_LARGE.values(),
+        *SMALL_PN.values(),
     ],
     ids=[
         "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "fig4-depth-1494",
         "wireless_only-2x", "wireless_only-I=50-lambda0=40",
         *FAST_OR_LARGE,
+        *SMALL_PN,
     ],
 )
 def test_no_fork_within_its_error_estimate_of_the_reference(cfg):

@@ -326,47 +326,47 @@ def test_simulate_worker_count_does_not_change_bytes(tmp_path):
 
 
 # The simulated columns of two small CSVs, to 12 digits. They pin the random
-# stream: substreams, chunk sizes, the block chunks' steps, the race kernel's
-# draw order and the samplers. A stream change moves them by far more than the
+# stream: substreams, chunk sizes, the blocks cut from the round stream, the
+# race kernel's draw order and the samplers. A stream change moves them by far more than the
 # 1e-9 relative allowance, which only absorbs last-bit differences of another
 # numpy build, libm or SIMD path; it must update them and name the columns
 # whose bytes moved in CHANGES.md. The analytic columns are not pinned here.
 STREAM_SIMULATE = {
     "fork_rate": 0.0106, "p_n": 0.9894, "p_n_se": 0.00144828450244,
-    "rounds_mean": 1.01568181818, "rounds_se": 0.00187322083568,
-    "energy_mean": 4.73091600406, "energy_se": 0.0626203226753,
+    "rounds_mean": 1.01159090909, "rounds_se": 0.00161380157286,
+    "energy_mean": 4.73808336735, "energy_se": 0.0645832915412,
     "s_mean": 0.512240830642, "tm_mean": 0.01051375, "tu_mean": 0.239002748306,
     "system_energy_mean": 35.1178075779, "capped_blocks": 0.0,
 }
 STREAM_FIG4_COLUMNS = ("p_n_sim", "p_n_se", "energy_sim", "energy_se", "rounds_mean")
 STREAM_FIG4 = [
-    (0.9795, 0.00316857617866, 2.32907586182, 0.231237195141, 1.01),
-    (0.976, 0.00342227994179, 2.5298628677, 0.209352370104, 1.01),
-    (0.976, 0.00342227994179, 2.68025862696, 0.274171497217, 1.0),
-    (0.9775, 0.00331615364542, 2.81565570806, 0.246924174087, 1.0),
-    (0.9825, 0.00293204280323, 2.77253622885, 0.251961491188, 1.0),
-    (0.9795, 0.00316857617866, 3.24262859455, 0.279948548313, 1.01),
-    (0.978, 0.00327993902382, 2.51429787377, 0.202260054334, 1.04),
-    (0.98, 0.0031304951685, 2.71383634662, 0.236829098262, 1.02),
-    (0.98, 0.0031304951685, 2.61481510258, 0.259621236068, 1.01),
-    (0.9785, 0.00324328151723, 3.05669212813, 0.286219873492, 1.02),
-    (0.936, 0.00547284204048, 4.35316146128, 0.343661297945, 1.04),
-    (0.976, 0.00342227994179, 3.2942787635, 0.256528485751, 1.03),
-    (0.99, 0.00222485954613, 2.63142047824, 0.254248609933, 1.02),
-    (0.9835, 0.0028484864402, 2.70170508036, 0.24129864829, 1.01),
-    (0.98, 0.0031304951685, 2.68310323546, 0.257721080424, 1.02),
-    (0.7265, 0.00996739058129, 23.9211072345, 2.75631083529, 1.36),
-    (0.9535, 0.00470838348056, 4.64860420714, 0.309678741377, 1.05),
-    (0.9815, 0.0030131171567, 3.08432583151, 0.272962366818, 1.05),
-    (0.982, 0.00297287739404, 2.59471001404, 0.200964605633, 1.0),
-    (0.9835, 0.0028484864402, 3.1282813774, 0.302364963789, 1.01),
+    (0.9795, 0.00316857617866, 2.78946598871, 0.267866211432, 1.01),
+    (0.976, 0.00342227994179, 2.40683472176, 0.249259780554, 1.0),
+    (0.976, 0.00342227994179, 2.532556571, 0.25049031849, 1.02),
+    (0.9775, 0.00331615364542, 2.33939475595, 0.203363755966, 1.01),
+    (0.9825, 0.00293204280323, 2.7997900602, 0.274729786653, 1.03),
+    (0.9795, 0.00316857617866, 3.06344059934, 0.2991166404, 1.02),
+    (0.978, 0.00327993902382, 2.7793108081, 0.244798745799, 1.01),
+    (0.98, 0.0031304951685, 2.93535058414, 0.25319832083, 1.0),
+    (0.98, 0.0031304951685, 2.53472696627, 0.189916025126, 1.01),
+    (0.9785, 0.00324328151723, 3.51126970586, 0.337123614482, 1.02),
+    (0.936, 0.00547284204048, 4.73431047431, 0.371309080378, 1.06),
+    (0.976, 0.00342227994179, 2.98585346965, 0.225962026148, 1.01),
+    (0.99, 0.00222485954613, 2.93237642796, 0.242318302296, 1.02),
+    (0.9835, 0.0028484864402, 2.51803673899, 0.21222746273, 1.02),
+    (0.98, 0.0031304951685, 3.01451136485, 0.276458290081, 1.02),
+    (0.7265, 0.00996739058129, 33.4318777943, 4.61418529182, 1.57),
+    (0.9535, 0.00470838348056, 4.29454426312, 0.38270806325, 1.05),
+    (0.9815, 0.0030131171567, 3.30335379378, 0.241242652863, 1.02),
+    (0.982, 0.00297287739404, 2.5488528967, 0.236577219972, 1.03),
+    (0.9835, 0.0028484864402, 3.21443880096, 0.264118910974, 1.02),
 ]
 
 
 def test_stream_golden_values(tmp_path):
     path = _write_config(tmp_path, default_config(num_miners=6))
     sim, sweep = tmp_path / "sim.csv", tmp_path / "fig4.csv"
-    # two round chunks and two block chunks: 4096 each, then the rest
+    # two round chunks, 4096 rounds then the rest, which hold the 4400 blocks
     simulate = ["simulate", path, "--trials", "5000", "--blocks", "4400", "--out", str(sim)]
     fig4 = ["sweep", "--preset", "fig4", "--trials", "2000", "--blocks", "100", "--out", str(sweep)]
     assert cli.main(simulate) == 0
@@ -644,7 +644,7 @@ def test_sweep_warnings_hold_across_workers(tmp_path, monkeypatch):
 def test_sweep_starts_one_pool(tmp_path, monkeypatch):
     started, maps = _counting_pool(monkeypatch)
     monkeypatch.setattr(simulator, "_cpu_count", lambda: 2)  # a real pool on any machine
-    # two round chunks and two block chunks per point, three points
+    # two round chunks per point, and an extension pass for its blocks where a round forks
     spec = _sweep_file(
         tmp_path,
         "sweep_param = num_miners\n"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,7 @@ from forkwork import simulator
 from forkwork.analytic import no_forking_probability
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.model import LatencyModel, default_config
-from forkwork.simulator import MAX_ROUNDS, ROUND_CHUNK, _blocks, _race, estimate
+from forkwork.simulator import ROUND_CHUNK, _race, estimate
 
 TWO_ATOMS = DiscreteLatency(atoms=(0.0, 50.0), weights=(0.5, 0.5))
 
@@ -80,10 +81,10 @@ def test_single_miner_never_forks():
 
 def test_single_miner_block_is_one_round():
     cfg = default_config(num_miners=1)
-    rounds, energy, capped = _blocks(cfg, LatencyDistribution.from_config(cfg), 0, 300, 10_000)
-    assert np.all(rounds == 1)
-    assert not capped.any()
-    assert np.all(energy > 0)
+    s = estimate(cfg, num_blocks=300, num_round_trials=1000)
+    assert s.mean_rounds == simulator.Estimate(1.0, 0.0)
+    assert s.capped_blocks == 0
+    assert s.mean_block_energy.value > 0
 
 
 def test_equal_latency_hook_never_forks():
@@ -212,33 +213,33 @@ def test_fork_rate_statistically_increases_with_miners():
 
 
 def test_block_cap_flags_with_max_rounds_one(monkeypatch):
-    monkeypatch.setattr(simulator, "MAX_ROUNDS", 1)  # read by the block chunks, at one worker
+    monkeypatch.setattr(simulator, "MAX_ROUNDS", 1)  # read by _cut, in this process
     cfg = default_config(num_miners=4)
     s = estimate(cfg, num_blocks=100, num_round_trials=100, workers=1, dist=TWO_ATOMS)
     assert s.mean_rounds.value == 1
     assert 0 < s.capped_blocks < s.block_trials  # forks happen with this hook, but not always
 
 
-def _lane_oracle(cfg, dist, chunk_index, count, max_rounds):
-    """The block substream judged one block at a time: a list of [rounds,
-    energy, capped] per block. Each step races one round for every open block,
-    in block order; a block closes on a commit or at the cap."""
-    rng = substream(cfg.rng_seed, 1, chunk_index)
-    blocks = [[0, 0.0, False] for _ in range(count)]
-    lanes = list(range(count))
-    while lanes:
-        forked, win_energy = _race(rng, cfg, dist, len(lanes))[:2]
-        still_open = []
-        for lane, f, e in zip(lanes, forked, win_energy):
-            block = blocks[lane]
-            block[0] += 1
-            block[1] += e
-            if f and block[0] == max_rounds:
-                block[2] = True
-            elif f:
-                still_open.append(lane)
-        lanes = still_open
-    return blocks
+def _stream_oracle(cfg, dist, chunk, num_round_trials, num_blocks, max_rounds):
+    """The round stream judged one round at a time: the chunks (seed, 0, i) of
+    ``chunk`` rounds, the last of the round trials the rest, then more chunks of
+    ``chunk``. A block closes on a commit, or is capped at ``max_rounds``.
+    Returns (rounds, energy, capped, first chunk, last chunk) of each of the
+    first ``num_blocks`` blocks."""
+    full, rest = divmod(num_round_trials, chunk)
+    sizes = itertools.chain([chunk] * full, [rest] * (rest > 0), itertools.repeat(chunk))
+    blocks, rounds, energy = [], 0, 0.0
+    for i, n in enumerate(sizes):
+        forked, win_energy = _race(substream(cfg.rng_seed, 0, i), cfg, dist, n)[:2]
+        for f, e in zip(forked, win_energy):
+            first = i if rounds == 0 else first
+            rounds += 1
+            energy += e
+            if not f or rounds == max_rounds:
+                blocks.append((rounds, energy, bool(f), first, i))
+                rounds, energy = 0, 0.0
+                if len(blocks) == num_blocks:
+                    return blocks
 
 
 class _WideLatency:
@@ -249,24 +250,47 @@ class _WideLatency:
         return np.zeros(t.shape, dtype=np.int64), t, t
 
 
-# short-cap: a round forks with probability 7/16, so about a fifth of the blocks
-# reach the cap of 2; long-blocks: about 500 rounds per block against a cap of 1100
-@pytest.mark.parametrize(
-    "miners, dist, count, max_rounds",
-    [(4, TWO_ATOMS, 6000, 2), (500, _WideLatency(), 12, 1100)],
-    ids=["short-cap", "long-blocks"],
-)
-def test_block_lanes_match_python_oracle(miners, dist, count, max_rounds):
+# (miners, latency law, round chunk, round trials, blocks, cap)
+# short-cap: a round forks with probability 7/16 and the cap is 3, so about a
+# twelfth of the blocks are capped, many of them across a chunk boundary;
+# long-blocks: about 500 rounds per block against a cap of 1100, so most blocks
+# span chunks, and the 1000 round trials hold about two of the 100 blocks
+_STREAM_CASES = {
+    "short-cap": (4, TWO_ATOMS, 64, 300, 2000, 3),
+    "long-blocks": (500, _WideLatency(), ROUND_CHUNK, 1000, 100, 1100),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_block_stream_matches_python_oracle(monkeypatch, case):
+    miners, dist, chunk, trials, num_blocks, max_rounds = _STREAM_CASES[case]
+    monkeypatch.setattr(simulator, "ROUND_CHUNK", chunk)  # many chunk boundaries
+    monkeypatch.setattr(simulator, "MAX_ROUNDS", max_rounds)
     cfg = default_config(num_miners=miners)
-    rounds, energy, capped = _blocks(cfg, dist, 3, count, max_rounds)
-    expected = _lane_oracle(cfg, dist, 3, count, max_rounds)
+    cut, real_cut = [], simulator._cut
+
+    def recording_cut(*args):
+        out = real_cut(*args)
+        cut.append(out[:3])
+        return out
+
+    monkeypatch.setattr(simulator, "_cut", recording_cut)
+    s = estimate(cfg, num_blocks=num_blocks, num_round_trials=trials, dist=dist)
+    rounds, energy, capped = (np.concatenate(column) for column in zip(*cut))
+    expected = _stream_oracle(cfg, dist, chunk, trials, num_blocks, max_rounds)
     assert rounds.tolist() == [b[0] for b in expected]
     assert capped.tolist() == [b[2] for b in expected]
     np.testing.assert_allclose(energy, [b[1] for b in expected], rtol=1e-12)
-    # the cases the lanes must get right are present: capped and committed
-    # blocks, and a block open for more than one step
-    assert any(b[2] for b in expected) and not all(b[2] for b in expected)
-    assert any(b[0] > 1 for b in expected)
+    assert (s.block_trials, s.capped_blocks) == (num_blocks, sum(b[2] for b in expected))
+    assert s.mean_rounds.value == pytest.approx(np.mean([b[0] for b in expected]), rel=1e-12)
+    assert s.round_trials == trials
+    # the cases the cutter must get right are present: blocks that span a
+    # chunk boundary, capped ones among them, and blocks closed in chunks past
+    # the round trials
+    spans = [b for b in expected if b[3] < b[4]]
+    assert spans and expected[-1][4] >= math.ceil(trials / chunk)
+    if case == "short-cap":
+        assert any(b[2] for b in spans) and not all(b[2] for b in expected)
 
 
 @pytest.mark.parametrize(
@@ -277,10 +301,8 @@ def test_block_lanes_match_python_oracle(miners, dist, count, max_rounds):
     ],
     ids=["forky", "two-atoms"],
 )
-def test_block_chunk_draws_only_the_rounds_its_blocks_use(monkeypatch, cfg, dist):
-    dist = dist or LatencyDistribution.from_config(cfg)
-    count = ROUND_CHUNK
-    longest = int(_blocks(cfg, dist, 0, count, MAX_ROUNDS)[0].max())
+def test_estimate_races_only_its_round_trials(monkeypatch, cfg, dist):
+    # 100,000 rounds hold far more than 20,000 blocks, so no chunk past them is raced
     drawn = []
 
     def counting_race(rng, config, dist, rounds):
@@ -288,21 +310,38 @@ def test_block_chunk_draws_only_the_rounds_its_blocks_use(monkeypatch, cfg, dist
         return _race(rng, config, dist, rounds)
 
     monkeypatch.setattr(simulator, "_race", counting_race)
-    _, used, *_ = simulator._block_chunk(cfg, dist, 0, count)
-    assert sum(drawn) == used
-    assert 1 < len(drawn) <= longest
+    s = estimate(cfg, num_blocks=20_000, num_round_trials=100_000, dist=dist)
+    assert sum(drawn) == 100_000
+    assert s.block_trials == 20_000 and s.capped_blocks == 0
 
 
 def test_estimate_memory_bounded_in_miner_count():
     cfg = default_config(num_miners=8000)
     tracemalloc.start()
     try:
-        # 300 blocks: one block chunk, as every chunk holds up to ROUND_CHUNK at any I
+        # 300 blocks from one chunk of 100 rounds and the chunks of ROUND_CHUNK past
+        # it: every chunk holds up to ROUND_CHUNK rounds at any I
         estimate(cfg, num_blocks=300, num_round_trials=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_estimate_memory_flat_in_round_trials():
+    # a chunk's per-round arrays are dropped once its blocks are cut, so 64
+    # chunks of round trials peak where 4 do; holding them all would not
+    cfg = default_config()
+    estimate(cfg, num_blocks=100, num_round_trials=100)  # one-time allocations first
+    peaks = []
+    for chunks in (4, 64):
+        tracemalloc.start()
+        try:
+            estimate(cfg, num_blocks=100, num_round_trials=chunks * ROUND_CHUNK)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_estimate_rejects_small_trials():
@@ -320,11 +359,14 @@ def test_estimate_deterministic_same_seed():
     assert a == b
 
 
-def test_estimate_deterministic_across_worker_counts():
+def test_estimate_deterministic_across_worker_counts(monkeypatch):
+    monkeypatch.setattr(simulator, "_cpu_count", lambda: 3)  # 3 workers really start
     cfg = default_config(num_miners=5)
-    serial = estimate(cfg, num_blocks=300, num_round_trials=9000, workers=1)
-    parallel = estimate(cfg, num_blocks=300, num_round_trials=9000, workers=3)
-    assert serial == parallel
+    # 9000 rounds hold about 8,900 blocks: the second case needs an extension pass
+    for blocks in (300, 9000):
+        sizes = dict(num_blocks=blocks, num_round_trials=9000)
+        serial = estimate(cfg, **sizes, workers=1)
+        assert estimate(cfg, **sizes, workers=2) == estimate(cfg, **sizes, workers=3) == serial
 
 
 def test_dead_worker_pool_is_replaced(monkeypatch):
@@ -393,7 +435,7 @@ def test_estimate_seed_changes_results():
     cfg = default_config(num_miners=5)
     a = estimate(cfg, num_blocks=100, num_round_trials=2000)
     b = estimate(replace(cfg, rng_seed=43), num_blocks=100, num_round_trials=2000)
-    # continuous means of the round and the block stream: the fork count, about
+    # continuous means of the rounds and of the blocks: the fork count, about
     # 20 in 2,000 rounds, can tie between two seeds
     assert a.mean_winner_compute.value != b.mean_winner_compute.value
     assert a.mean_block_energy.value != b.mean_block_energy.value
@@ -488,6 +530,7 @@ def test_estimate_same_for_one_and_two_workers(
         latency_model=latency_model,
         rng_seed=seed,
     )
-    # two chunks of each kind, so the two-worker run goes through the pool
+    # two round chunks, so the two-worker run goes through the pool; once a round
+    # forks, the blocks need an extension pass through the same pool
     sizes = dict(num_blocks=ROUND_CHUNK + 100, num_round_trials=ROUND_CHUNK + 100)
     assert estimate(cfg, **sizes, workers=1) == estimate(cfg, **sizes, workers=2)
