@@ -17,10 +17,10 @@ with the outer expectation over the winner's own transmission latency.
 For the relocation mixture T = move_time * N + T_up everything reduces to
 one reusable object: the decayed cumulative uplink integral
 G(x) = integral_onset^x exp(-rate (x - u)) f_up(u) du, which is at most 1 at
-any rate. G is approximated once per law and compute rate by a piecewise
-Chebyshev series, to one fixed coefficient tolerance, and cross-checked against
-adaptive quadrature; q is then closed-form arithmetic. Shifting the lag by one
-relocation gives the exact, contracting recurrence
+any rate. G is approximated once per law and compute rate by a Chebyshev series
+on 2^k panels of one width, to one fixed coefficient tolerance, and
+cross-checked against adaptive quadrature; q is then closed-form arithmetic.
+Shifting the lag by one relocation gives the exact, contracting recurrence
 
     q(t + move_time) = p g(t + move_time) + (1 - p) q(t),
 
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -166,64 +167,59 @@ _BLOCK = 1 << 13
 class _DecayedFit:
     """G(x) = integral_a^x exp(-rate (x - u)) f(u) du on [a, b], piecewise Chebyshev.
 
-    Panel [lo, hi] interpolates f(u) exp(-rate (hi - u)), which never overflows;
-    the tilt is taken in the panel's own coordinate y, so the rounding of u does
-    not reach it. A panel is split in half until its trailing coefficients drop
-    below coef_tol relative to the global magnitude and rate (hi - lo) <= 1, so
-    undoing the tilt inside it costs at most a factor e. Panels are accepted
-    left to right: a panel's running integral plus exp(-rate (hi - lo)) G(lo) is
-    exp(-rate (hi - x)) G(x), and its value at hi is G(hi), which starts the
-    next. Calling the object evaluates G on [a, b]: one Clenshaw pass over
-    every point at once, each point reading its own panel's coefficients.
+    n panels of one width, n a power of two. Panel [lo, hi] interpolates
+    f(u) exp(-rate (hi - u)), which never overflows; the tilt is taken in the
+    panel's own coordinate y, so the rounding of u does not reach it. n starts at
+    the least power of two with rate (b - a) / n <= 1, so undoing the tilt costs
+    at most a factor e, and doubles until every panel's trailing coefficients are
+    below COEF_TOL relative to the global magnitude; one call of f fits a level.
+    A panel stores exp(-rate (hi - x)) G(x), its running integral plus
+    exp(-rate (hi - lo)) G(lo); at hi that is G(hi), which starts the next.
+    Calling the object evaluates G on [a, b] in one Clenshaw pass over every
+    point, each reading the coefficients of panel floor((x - a) / width).
     """
 
     DEGREE = 32
+    COEF_TOL = 1e-14
     MAX_PANELS = 1 << 14
     _NODES = chebyshev.chebpts1(DEGREE + 1)  # y in (-1, 1)
-    _FIT = chebyshev.chebvander(_NODES, DEGREE).T * (2.0 / (DEGREE + 1))  # node values -> coefs
-    _FIT[0] *= 0.5  # at the nodes T_0^2 sums to DEGREE + 1, any other T_k^2 to half that
+    _FIT = chebyshev.chebvander(_NODES, DEGREE) * (2.0 / (DEGREE + 1))  # node values -> coefs
+    _FIT[:, 0] *= 0.5  # at the nodes T_0^2 sums to DEGREE + 1, any other T_k^2 to half that
 
-    def __init__(self, f, rate, a, b, coef_tol):
+    def __init__(self, f, rate, a, b):
         scale = max(float(np.max(np.abs(f(np.linspace(a, b, 257))))), 1e-300)
-        min_width = (b - a) * 2.0**-42
-        if rate * (b - a) > self.MAX_PANELS:  # no panel may span more than 1 / rate
-            raise QuadratureError("piecewise fit exceeded the panel budget")
-        y = self._NODES
-        panels, total = [], 0.0  # (left edge, half width, running integral), left to right
-        stack = [(a, b)]
-        while stack:
-            lo, hi = stack.pop()
-            half = 0.5 * (hi - lo)
-            coef = self._FIT @ (f(lo + half * (1.0 + y)) * np.exp(-rate * half * (1.0 - y)))
-            mags = np.abs(coef)
-            scale = max(scale, float(mags.max()))
-            smooth = float(mags[-4:].max()) <= coef_tol * scale and rate * (hi - lo) <= 1.0
-            if smooth or (hi - lo) <= min_width:
-                prim = chebyshev.chebint(coef, lbnd=-1.0, scl=half)
-                prim[0] += math.exp(-rate * (hi - lo)) * total
-                total = float(prim.sum())  # G(hi): every T_k is 1 at y = 1
-                panels.append((lo, half, prim))
-            elif len(panels) + len(stack) >= self.MAX_PANELS:
+        n, y = 1, self._NODES
+        while True:
+            if n > self.MAX_PANELS:
                 raise QuadratureError("piecewise fit exceeded the panel budget")
-            else:
-                stack += [(lo + half, hi), (lo, lo + half)]
-        lows, halves, prims = zip(*panels)
-        self.rate, self.total = float(rate), total
-        self.edges = np.array([*lows, b])
-        self._half = np.array(halves)
-        self._coef = np.ascontiguousarray(np.array(prims).T)  # row k: every panel's T_k coefficient
+            width = (b - a) / n
+            if rate * width <= 1.0:  # no panel may span more than 1 / rate
+                u = a + width * np.arange(n)[:, None] + 0.5 * width * (1.0 + y)
+                coef = (f(u) * np.exp(-0.5 * rate * width * (1.0 - y))) @ self._FIT
+                mags = np.abs(coef)
+                scale = max(scale, float(mags.max()))
+                if float(mags[:, -4:].max()) <= self.COEF_TOL * scale:
+                    break
+            n *= 2
+        prim = chebyshev.chebint(coef, lbnd=-1.0, scl=0.5 * width, axis=1)
+        decay = math.exp(-rate * width)
+        # G at every edge from the one before; every T_k is 1 at y = 1
+        g = list(accumulate(prim.sum(axis=1).tolist(), lambda g0, s: decay * g0 + s, initial=0.0))
+        prim[:, 0] += decay * np.array(g[:-1])
+        self.rate, self.total, self.a, self.width = float(rate), g[-1], a, width
+        self._coef = np.ascontiguousarray(prim.T)  # row k: every panel's T_k coefficient
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
-        idx = np.clip(np.searchsorted(self.edges, flat, side="right") - 1, 0, len(self._half) - 1)
-        half = self._half[idx]
-        y = (flat - self.edges[idx]) / half - 1.0
+        k = np.clip(np.floor((flat - self.a) / self.width), 0.0, self._coef.shape[1] - 1.0)
+        y = 2.0 * (flat - (self.a + self.width * k)) / self.width - 1.0  # from lo as fitted
+        idx = k.astype(np.intp)
         y2 = 2.0 * y
         b1, b2 = self._coef[-1][idx], np.zeros_like(y)
         for row in self._coef[-2:0:-1]:
             b1, b2 = row[idx] + y2 * b1 - b2, b1
-        out = np.exp(self.rate * half * (1.0 - y)) * (self._coef[0][idx] + y * b1 - b2)
+        out = np.exp(0.5 * self.rate * self.width * (1.0 - y)) * (self._coef[0][idx] + y * b1 - b2)
         return out.reshape(x.shape) if x.shape else float(out[0])
 
 
@@ -259,7 +255,7 @@ class _SurvivalEvaluator:
         # the mixture weight past n_max; mixture sums also stop at terms below it
         self.tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if self.relocates else 0.0
 
-        self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi, 1e-14)
+        self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi)
         self.carry = self._decayed.total
 
         # independent cross-check of G at three probes; its error is absolute on G
@@ -397,8 +393,11 @@ def survival_prob(t_star, dist, compute_rate: float | None = None):
     transmission latency is ``t_star``.
 
     Accepts either a :class:`LatencyDistribution` (compute rate taken from it
-    unless given) or a :class:`DiscreteLatency` (compute rate required).
+    unless given) or a :class:`DiscreteLatency` (compute rate required). A
+    given compute rate must be finite and positive, else ValueError.
     """
+    if compute_rate is not None and not (math.isfinite(compute_rate) and compute_rate > 0.0):
+        raise ValueError(f"compute_rate must be finite and positive (got {compute_rate!r})")
     if isinstance(dist, DiscreteLatency):
         if compute_rate is None:
             raise ValueError("compute_rate is required with a DiscreteLatency")

@@ -235,9 +235,9 @@ class DiscreteLatency:
     def __post_init__(self):
         if len(self.atoms) == 0 or len(self.atoms) != len(self.weights):
             raise ValueError("atoms and weights must be non-empty and the same length")
-        if any(a < 0.0 for a in self.atoms):
-            raise ValueError("atoms must be non-negative")
-        if any(w < 0.0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
+        if not all(0.0 <= a < math.inf for a in self.atoms):  # false on nan
+            raise ValueError("atoms must be finite and non-negative")
+        if not (all(w >= 0.0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= 1e-9):
             raise ValueError("weights must be non-negative and sum to 1")
 
     @classmethod

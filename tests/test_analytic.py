@@ -176,6 +176,14 @@ def test_survival_at_zero_is_one():
     assert survival_prob(-1.0, _dist()) == 1.0
 
 
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("law", ["mixture", "discrete"])
+def test_survival_rejects_a_rate_that_is_not_finite_and_positive(law, rate):
+    d = _dist() if law == "mixture" else DiscreteLatency.constant(0.1)
+    with pytest.raises(ValueError, match="compute_rate"):
+        survival_prob(0.2, d, compute_rate=rate)
+
+
 def test_survival_tiny_rate_is_one():
     d = _dist()
     q = survival_prob(d.max_uplink * 3, d, compute_rate=1e-12)
@@ -223,12 +231,42 @@ def test_decayed_fit_where_the_growing_tilt_would_overflow():
         cosine = (rate * np.cos(x) + np.sin(x) - rate * decay) / (rate**2 + 1.0)
         return (1.0 - decay) / rate + cosine
 
-    fit = analytic._DecayedFit(lambda u: 1.0 + np.cos(u), rate, 0.0, 2.0, 1e-14)
-    assert len(fit.edges) - 1 >= rate * 2.0  # rate (hi - lo) <= 1 on every panel
+    fit = analytic._DecayedFit(lambda u: 1.0 + np.cos(u), rate, 0.0, 2.0)
+    n = fit._coef.shape[1]
+    assert n & (n - 1) == 0 and fit.width == 2.0 / n  # 2^k panels of one width
+    assert rate * fit.width <= 1.0
     x = np.linspace(0.0, 2.0, 10_001)
     assert np.max(np.abs(fit(x) - closed(x))) <= 1e-16  # G is about 4e-3 at most
     assert fit.total == pytest.approx(closed(2.0), abs=1e-16)
+    assert fit(2.0) == pytest.approx(fit.total, abs=1e-16)  # x = b reads the last panel
     assert fit(0.7) == pytest.approx(closed(0.7), abs=1e-16)
+    # G is continuous across every interior edge, read from either panel
+    edges = fit.width * np.arange(1, n)
+    for side in (-np.inf, np.inf):
+        assert np.max(np.abs(fit(np.nextafter(edges, side)) - fit(edges))) <= 1e-16
+
+
+def test_fit_samples_each_level_in_one_call(monkeypatch):
+    # a machine-independent work counter: at lambda0 = 10,000 on the default
+    # link the fit has 8,192 panels, yet calls f once for its scale and once per
+    # level fitted; a panel-by-panel fit called it once a panel
+    cfg = _with_rate(default_config(), 10_000.0)
+    calls = []
+    real = analytic._DecayedFit
+
+    def counting_fit(f, *args):
+        def counted(u):
+            calls.append(np.size(u))
+            return f(u)
+
+        return real(counted, *args)
+
+    monkeypatch.setattr(analytic, "_DecayedFit", counting_fit)
+    analytic._evaluator.cache_clear()
+    ev = analytic._evaluator(_dist(cfg), cfg.derived.compute_rate)
+    analytic._evaluator.cache_clear()
+    assert ev._decayed._coef.shape[1] == 8192
+    assert len(calls) <= 3, calls
 
 
 def _fig4_config(snr_q, tx_power_w):

@@ -337,3 +337,6 @@ def test_discrete_latency_validation():
         DiscreteLatency(atoms=(), weights=())
     with pytest.raises(ValueError):
         DiscreteLatency(atoms=(-0.1,), weights=(1.0,))
+    for atoms, weights in [((math.nan,), (1.0,)), ((0.1,), (math.nan,)), ((math.inf,), (1.0,))]:
+        with pytest.raises(ValueError):
+            DiscreteLatency(atoms=atoms, weights=weights)

@@ -127,16 +127,29 @@ def test_analytic_answers_at_fast_compute(tmp_path):
     assert 0.0 < float(rows[0]["p_n_err"]) <= cfg.quadrature_tol * float(rows[0]["p_n"])
 
 
-@pytest.mark.parametrize("lambda0", [1_000.0, 10_000.0])
+@pytest.mark.parametrize("lambda0", [1_000.0, 10_000.0, 27_000.0])
 def test_analytic_at_extreme_compute_ends_cleanly(tmp_path, lambda0):
-    # rate x max_uplink of 2,000 and 20,000: an answer or a quadrature failure
-    # within 10 s, with no NaN and no numpy warning
+    # rate x max_uplink of 2,000, 20,000 and 54,000: an answer within its error
+    # budget and 10 s, with no NaN and no numpy warning; at 27,000 the fit's
+    # panels are forced to exactly MAX_PANELS = 16,384
     cfg = default_config()
     path = _write_config(tmp_path, replace(cfg, miner=replace(cfg.miner, lambda0=lambda0)))
-    done = _cli_in_child(["analytic", path], timeout=10)
-    assert done.returncode in (0, 2), done.stderr
-    assert "nan" not in (done.stdout + done.stderr).lower()
+    out = tmp_path / "row.csv"
+    done = _cli_in_child(["analytic", path, "--out", str(out)], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "nan" not in (out.read_text() + done.stderr).lower()
     assert "Warning" not in done.stderr
+    _, rows = _rows(out.read_text())
+    assert float(rows[0]["p_n_err"]) <= cfg.quadrature_tol * float(rows[0]["p_n"])
+
+
+def test_analytic_past_the_panel_budget_is_a_quadrature_failure(tmp_path):
+    # lambda0 = 30,000 would force 32,768 panels, one level past MAX_PANELS
+    cfg = default_config()
+    path = _write_config(tmp_path, replace(cfg, miner=replace(cfg.miner, lambda0=30_000.0)))
+    done = _cli_in_child(["analytic", path], timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert "piecewise fit exceeded the panel budget" in done.stderr
 
 
 @pytest.mark.parametrize(
