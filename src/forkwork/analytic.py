@@ -40,16 +40,12 @@ A law that never relocates keeps the plain integral over u.
 
 p_no_fork takes one pass, whose tolerances scale with p_no_fork or belong to
 the law: the outer quadrature stops at a relative target of 0.1 quadrature_tol,
-and the sums over the mixture skip terms below the law's tail weight
-(1 - p)^(n_max + 1), the weight past n_max. Its error estimate adds: the outer
-quadrature's; the mixture truncation's; and the fit's. The truncation's is the
-skipped terms plus that tail weight times min(1, q~(onset + (n_max + 1)
-move_time) + delta)^(I - 1): f_up is 0 below the uplink onset and q does not rise
-with the lag, so no component past n_max has a lag below that.
-With delta the cross-check's absolute error on G, hence on q, and n = I - 1,
-E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
-inequality (t^((n-1)/n) is concave), where
-E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
+and the sum past the window after n_max + 1 terms, or once a bound on the terms
+it leaves out falls below the tail weight (1 - p)^(n_max + 1). Its error
+estimate adds the outer quadrature's, that bound and the fit's. With delta the
+cross-check's absolute error on G, hence on q, and n = I - 1, E|q~^n - q^n| is
+at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's inequality (t^((n-1)/n)
+is concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
 """
 
 from __future__ import annotations
@@ -109,8 +105,11 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
     and reports it plus that floor. Raises
     :class:`QuadratureError` if that needs more than ``max_intervals - 1``
     bisections, or if an integrand value, a panel, the value or the error
-    estimate is not finite.
+    estimate is not finite. Returns (0.0, 0.0) for b <= a; raises ValueError
+    for a non-finite bound, before ``f`` is called.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite (got {a!r}, {b!r})")
     if not b > a:
         return 0.0, 0.0
 
@@ -252,7 +251,7 @@ class _SurvivalEvaluator:
             # beyond this count p (1-p)^n underflows to an exact 0
             self._n_zero = math.ceil(750.0 / -self._log_stay)
             self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
-        # the mixture weight past n_max; mixture sums also stop at terms below it
+        # the mixture weight past n_max; the sum past the window stops below it
         self.tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if self.relocates else 0.0
 
         self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi)
@@ -362,8 +361,9 @@ class _SurvivalEvaluator:
         return out, skipped
 
     def _beyond_sum(self, q_last, x_last, power):
-        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i <= n_max, in
-        blocks of i until the terms left are below the tail weight; returns (sums, skipped)."""
+        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i <= n_max, in blocks of i
+        until the terms left are below the tail weight. Returns (sums, skipped): q does not rise
+        with the lag, so after J terms (1-p)^J q(x_last + J move_time)^power bounds all the rest."""
         p, n_max = self.dist.success_prob, self.dist.n_max
         total = np.zeros(q_last.shape)
         cols = max(16, _BLOCK // len(q_last))
@@ -373,8 +373,8 @@ class _SurvivalEvaluator:
             total += qj @ (p * np.exp((j - 1.0) * self._log_stay))
             rest = float(np.max(qj[:, -1])) * math.exp(j[-1] * self._log_stay)
             if rest <= self.tail:
-                return total, rest
-        return total, 0.0
+                break
+        return total, rest
 
 
 _evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate) -> evaluator
@@ -447,9 +447,7 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
         tm = dist.move_time
         span, points = min(tm, hi), [hi - math.floor(hi / tm) * tm]
     value, quad_err = integrate_adaptive(integrand, 0.0, span, rel_tol=0.1 * tol, points=points)
-    reach = ev.survival(ev._onset + (dist.n_max + 1) * dist.move_time) if ev.relocates else 1.0
-    rest = quad_err + ev.tail * min(1.0, reach + ev.error) ** n + skipped  # see module docstring
-    delta = ev.error  # the fit's term, bounded as in the module docstring
+    rest, delta = quad_err + skipped, ev.error  # the terms of the module docstring
     spread = n * delta * (math.exp(n * delta) if n * delta < 700.0 else math.inf)
     err = rest + n * delta * (value + rest + spread) ** ((n - 1) / n)
     if err <= tol * value:

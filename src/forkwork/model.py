@@ -287,8 +287,6 @@ def derive(channel: ChannelParams, miner: MinerParams) -> DerivedParams:
     success_prob = math.exp(-snr_rate * ch.snr_threshold)
     if gain >= 1.0:
         raise ValueError("derived path_gain must be below 1 (distance is inside the near field)")
-    if not 0.0 <= success_prob <= 1.0:
-        raise ValueError(f"derived success_prob out of [0, 1] (got {success_prob!r})")
 
     return DerivedParams(
         path_gain=gain,

@@ -166,6 +166,19 @@ def test_integrator_error_covers_rounding():
 
 def test_integrator_empty_interval():
     assert integrate_adaptive(np.sin, 1.0, 1.0, rel_tol=1e-8) == (0.0, 0.0)
+    assert integrate_adaptive(np.sin, 1.0, 0.0, rel_tol=1e-8) == (0.0, 0.0)  # b < a
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_integrator_rejects_a_bound_that_is_not_finite(side, bad):
+    # a NaN bound once gave (0.0, 0.0), an infinite one numpy warnings
+    def f(x):
+        raise AssertionError("the integrand was called")
+
+    bounds = {"a": 0.0, "b": 1.0, side: bad}
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        integrate_adaptive(f, bounds["a"], bounds["b"], rel_tol=1e-8)
 
 
 # --- survival probability -------------------------------------------------
@@ -307,6 +320,54 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
     terms = [p * (1.0 - p) ** n * ev._q_component(x - n * tm) for x in t]  # row: one lag
     ref = [min(math.fsum([*row, (1.0 - p) ** (last + 1)]), 1.0) for row in terms]
     assert np.max(np.abs(survival_prob(t, d) - ref)) <= 3e-15
+
+
+def _beyond_sum_against_brute_force(ev, phases, power):
+    """``ev._beyond_sum`` at the window's last lags, the count of terms it took, and the
+    gap to a sum through ``_beyond`` of every term whose weight is above 1e-20."""
+    d = ev.dist
+    p, tm = d.success_prob, d.move_time
+    x_last = d.max_uplink - tm + tm * phases
+    q_last = ev.survival(x_last)
+    taken, real = [], ev._beyond
+
+    def recording(q, x, j):
+        taken.append(int(j[-1]))
+        return real(q, x, j)
+
+    ev._beyond = recording
+    try:
+        sums, skipped = ev._beyond_sum(q_last, x_last, power)
+    finally:
+        del ev._beyond
+    i = np.arange(math.ceil(math.log(1e-20) / ev._log_stay), dtype=float)
+    terms = p * np.exp(i * ev._log_stay) * real(q_last[:, None], x_last[:, None], i + 1.0) ** power
+    brute = np.array([math.fsum(row) for row in terms])
+    return skipped, taken[-1], brute - sums
+
+
+def test_beyond_sum_bounds_what_it_leaves_out_when_it_stops_early():
+    # 512 phases: blocks of 16 terms, and the terms fall below the tail weight
+    # at J = 176 of n_max + 1 = 191
+    d = _dist(_fig4_config(1.0, 0.05))
+    ev = analytic._evaluator(d, d.compute_rate)
+    skipped, last, gap = _beyond_sum_against_brute_force(ev, np.linspace(0.0, 1.0, 513)[1:], 9)
+    assert last < d.n_max + 1
+    assert 0.0 < skipped <= ev.tail
+    assert np.all(gap <= skipped + 1e-15)
+    assert np.max(gap) >= 0.5 * skipped  # what it left out is real, not rounding
+
+
+def test_beyond_sum_bounds_what_it_leaves_out_when_it_runs_out():
+    # with no floor the sum runs to n_max + 1 terms; the components past n_max
+    # that it leaves out weigh 8.7e-13 in all and must be in its bound
+    d = _dist(_fig4_config(1.0, 0.05))
+    ev = analytic._SurvivalEvaluator(d, d.compute_rate)  # not the cached one
+    ev.tail = 0.0
+    skipped, last, gap = _beyond_sum_against_brute_force(ev, np.linspace(0.0, 1.0, 9)[1:], 1)
+    assert last == d.n_max + 1
+    assert np.all(gap <= skipped + 1e-15)
+    assert np.max(gap) >= 0.5 * skipped > 0.0
 
 
 def test_phase_sum_matches_component_loop():
@@ -793,8 +854,9 @@ FAST_OR_LARGE = {
 }
 
 
-# relocating laws with p_n between 1e-6 and 1e-4, whose error budget once held
-# the mixture's whole tail weight, about 7e-13; in the two random ones
+# relocating laws with p_n between 1e-6 and 1e-4: the mixture's bare tail weight,
+# about 7e-13, would pass quadrature_tol p_n, while the truncation term, the terms
+# the sums leave out weighted by q^(I-1), does not; in the two random ones
 # (n_max + 1) move_time lies below the uplink onset
 SMALL_PN = {
     "I=100000-lambda0=40": _with_rate(default_config(100_000), 40.0),

@@ -726,6 +726,35 @@ def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
     assert warnings.count("relocation mixture needs") == 2  # the analytic and the simulation
 
 
+# the link of the forky simulation benchmark: p_n about 0.29, so most blocks fork
+FORKY = default_config(20, tx_power_w=0.1, snr_fraction=6.0)
+
+
+def test_simulate_warns_of_capped_blocks(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "MAX_ROUNDS", 1)  # read by _cut, in this process
+    path = _write_config(tmp_path, FORKY)
+    args = ["simulate", path, "--trials", "1000", "--blocks", "200", "--workers", "1"]
+    assert cli.main([*args, "--out", str(tmp_path / "row.csv")]) == 0
+    capped = estimate(FORKY, num_blocks=200, num_round_trials=1000).capped_blocks
+    assert 0 < capped < 200
+    assert f"warning: {capped} block(s) hit the round cap" in capsys.readouterr().err
+
+
+def test_sweep_warns_of_capped_blocks_by_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_ROUNDS", 1)  # read by _cut, in this process
+    spec = _sweep_file(
+        tmp_path,
+        "sweep_param = num_miners\nsweep_values = 1, 20\n"
+        "round_trials = 1000\nblock_trials = 200\n",
+        FORKY,
+    )
+    out = tmp_path / "capped.csv"
+    assert cli.main(["sweep", spec, "--workers", "1", "--out", str(out)]) == 0
+    # a lone miner never forks: only the point at I = 20 caps blocks
+    (warning,) = Path(f"{out}.warnings").read_text().splitlines()
+    assert re.fullmatch(r"num_miners=20: [1-9]\d* block\(s\) hit the round cap", warning)
+
+
 def test_sweep_without_warnings_removes_stale_sidecar(tmp_path):
     out = tmp_path / "table.csv"
     sidecar = tmp_path / "table.csv.warnings"
