@@ -38,10 +38,11 @@ summed once into S at the window's end. The integrand's one breakpoint is
 where a lag crosses max_up, phi* = max_up - floor(max_up / move_time) * move_time.
 A law that never relocates keeps the plain integral over u.
 
-p_no_fork takes one pass, whose tolerances scale with p_no_fork or belong to
-the law: the outer quadrature stops at a relative target of 0.1 quadrature_tol,
-and the sum past the window after n_max + 1 terms, or once a bound on the terms
-it leaves out falls below the tail weight (1 - p)^(n_max + 1). Its error
+p_no_fork takes one pass, whose tolerances scale with p_no_fork: the outer
+quadrature stops at a relative target of 0.1 quadrature_tol, and the sum past
+the window after n_max + 1 terms, n_max the least n with (1 - p)^(n + 1) <=
+1e-4 quadrature_tol, or once a bound on the terms it leaves out falls below
+that tail weight. Its error
 estimate adds the outer quadrature's, that bound and the fit's. With delta the
 cross-check's absolute error on G, hence on q, and n = I - 1, E|q~^n - q^n| is
 at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's inequality (t^((n-1)/n)
@@ -58,9 +59,10 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
-from .model import AnalyticResult, LatencyModel, QuadratureError, SystemConfig
+from .model import AnalyticResult, ConfigError, LatencyModel, QuadratureError, SystemConfig
 
 __all__ = [
+    "MIXTURE_DEPTH_CAP",
     "QuadratureError",
     "integrate_adaptive",
     "survival_prob",
@@ -158,6 +160,30 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
 
 # --- survival probability of one competitor ------------------------------
 
+# Hard cap on relocation-mixture components; beyond this the config implies
+# astronomically many relocations and analytic evaluation is impractical.
+MIXTURE_DEPTH_CAP = 200_000
+
+
+def _mixture_depth(dist: LatencyDistribution, tol: float) -> int:
+    """n_max, the smallest n with (1 - p)^(n + 1) <= 1e-4 tol, in closed form; 0 for a law
+    that never relocates. ConfigError past MIXTURE_DEPTH_CAP components."""
+    p = dist.success_prob
+    if dist.variant is not LatencyModel.TOTAL or p >= 1.0:
+        return 0
+    tail_mass = 1e-4 * tol
+    components = math.log(tail_mass) / math.log1p(-p)  # n + 1 before rounding up
+    if components > MIXTURE_DEPTH_CAP + 1:  # checked in float: a subnormal p gives inf
+        raise ConfigError(
+            [
+                f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components for tail "
+                f"mass {tail_mass:g}; the location success probability {p:.3g} is "
+                "impractically small (lower snr_threshold_db or raise tx_power_w)"
+            ]
+        )
+    return math.ceil(components) - 1
+
+
 # Element budget of the (point x relocation count) blocks that the survival
 # sums work on, so their memory does not grow with the mixture depth.
 _BLOCK = 1 << 13
@@ -251,8 +277,6 @@ class _SurvivalEvaluator:
             # beyond this count p (1-p)^n underflows to an exact 0
             self._n_zero = math.ceil(750.0 / -self._log_stay)
             self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
-        # the mixture weight past n_max; the sum past the window stops below it
-        self.tail = (1.0 - dist.success_prob) ** (dist.n_max + 1) if self.relocates else 0.0
 
         self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi)
         self.carry = self._decayed.total
@@ -331,14 +355,14 @@ class _SurvivalEvaluator:
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
 
-    def phase_sum(self, phi, power: int):
+    def phase_sum(self, phi, power: int, terms: int):
         """sum_k f_up(phi + k move_time) S_k(phi) for phases phi in (0, min(move_time, max_up)]
         (see the module docstring). One walk gives A_j from the onset (below it
         q = 1 and f_up = 0) up to the last lag with uplink density, j = last, and
-        ``_beyond_sum`` gives S_(last+1). The sum over k is taken in the walk's
-        order, as sum_j p A_j D_j + (1-p) D_last S_(last+1) with
-        D_j = (1-p) D_(j-1) + f_up(phi + j move_time). Returns (sums, skipped);
-        ``skipped`` bounds the terms left out."""
+        ``_beyond_sum`` gives S_(last+1) from at most ``terms`` mixture components.
+        The sum over k is taken in the walk's order, as sum_j p A_j D_j +
+        (1-p) D_last S_(last+1) with D_j = (1-p) D_(j-1) + f_up(phi + j move_time).
+        Returns (sums, skipped); ``skipped`` bounds the terms left out."""
         d = self.dist
         if not self.relocates:  # the phase is the uplink latency itself
             return d.uplink_pdf(phi) * self._q_component(phi) ** power, 0.0
@@ -355,24 +379,24 @@ class _SurvivalEvaluator:
             for k, q in self._walk(ph, last):
                 mixed = stay * mixed + dens[k]
                 total += p * mixed * q**power
-            tail, cut = self._beyond_sum(q, ph + last * tm, power)
+            tail, cut = self._beyond_sum(q, ph + last * tm, power, terms)
             out[start : start + rows] = total + stay * mixed * tail
             skipped = max(skipped, cut)
         return out, skipped
 
-    def _beyond_sum(self, q_last, x_last, power):
-        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i <= n_max, in blocks of i
+    def _beyond_sum(self, q_last, x_last, power, terms):
+        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i < terms, in blocks of i
         until the terms left are below the tail weight. Returns (sums, skipped): q does not rise
         with the lag, so after J terms (1-p)^J q(x_last + J move_time)^power bounds all the rest."""
-        p, n_max = self.dist.success_prob, self.dist.n_max
+        p = self.dist.success_prob
         total = np.zeros(q_last.shape)
         cols = max(16, _BLOCK // len(q_last))
-        for j0 in range(1, n_max + 2, cols):  # j = i + 1 steps past x_last
-            j = np.arange(j0, min(j0 + cols, n_max + 2), dtype=float)
+        for j0 in range(1, terms + 1, cols):  # j = i + 1 steps past x_last
+            j = np.arange(j0, min(j0 + cols, terms + 1), dtype=float)
             qj = self._beyond(q_last[:, None], x_last[:, None], j) ** power
             total += qj @ (p * np.exp((j - 1.0) * self._log_stay))
             rest = float(np.max(qj[:, -1])) * math.exp(j[-1] * self._log_stay)
-            if rest <= self.tail:
+            if rest <= (1.0 - p) ** terms:  # the tail weight
                 break
         return total, rest
 
@@ -433,12 +457,13 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
         return float(weights @ q ** (num - 1)), 0.0
 
     tol = config.quadrature_tol
+    terms = _mixture_depth(dist, tol) + 1  # refuses a config past the cap before any build
     ev = _evaluator(dist, rate)
     hi, n, skipped = dist.max_uplink, num - 1, 0.0
 
     def integrand(phi):
         nonlocal skipped
-        sums, cut = ev.phase_sum(phi, n)
+        sums, cut = ev.phase_sum(phi, n, terms)
         skipped = max(skipped, cut)
         return sums
 

@@ -33,14 +33,9 @@ __all__ = [
     "uplink_latency",
     "LatencyDistribution",
     "DiscreteLatency",
-    "MIXTURE_DEPTH_CAP",
 ]
 
 _LN2 = math.log(2.0)
-
-# Hard cap on relocation-mixture components; beyond this the config implies
-# astronomically many relocations and analytic evaluation is impractical.
-MIXTURE_DEPTH_CAP = 200_000
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -68,22 +63,6 @@ def uplink_latency(snr, ack_bits: float, bandwidth_hz: float, out=None):
     return np.divide(ack_bits * _LN2 / bandwidth_hz, log, out=out)
 
 
-def _truncation_depth(success_prob: float, tail_mass: float) -> int:
-    """Smallest n with (1 - p)^(n + 1) <= tail_mass, in closed form."""
-    if success_prob >= 1.0:
-        return 0
-    components = math.log(tail_mass) / math.log1p(-success_prob)  # n + 1 before rounding up
-    if components > MIXTURE_DEPTH_CAP + 1:  # checked in float: a subnormal p gives inf
-        raise ConfigError(
-            [
-                f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components for tail "
-                f"mass {tail_mass:g}; the location success probability {success_prob:.3g} is "
-                "impractically small (lower snr_threshold_db or raise tx_power_w)"
-            ]
-        )
-    return math.ceil(components) - 1
-
-
 @dataclass(frozen=True)
 class LatencyDistribution:
     """Transmission latency T of one miner: a geometric mixture over the
@@ -103,7 +82,6 @@ class LatencyDistribution:
     variant: LatencyModel
     max_uplink: float
     success_prob: float
-    n_max: int  # mixture depth: tail weight (1 - p)^(n_max + 1) <= 1e-4 quadrature_tol
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "LatencyDistribution":
@@ -115,9 +93,6 @@ class LatencyDistribution:
                     "ever clears the SNR threshold (lower snr_threshold_db or raise tx_power_w)"
                 ]
             )
-        n_max = 0
-        if config.latency_model is LatencyModel.TOTAL:
-            n_max = _truncation_depth(d.success_prob, 1e-4 * config.quadrature_tol)
         if not math.isfinite((1.0 - d.success_prob) / d.success_prob):  # a subnormal p
             raise ConfigError(
                 [
@@ -135,7 +110,6 @@ class LatencyDistribution:
             variant=config.latency_model,
             max_uplink=d.max_uplink_s,
             success_prob=d.success_prob,
-            n_max=n_max,
         )
 
     # -- uplink marginal ------------------------------------------------

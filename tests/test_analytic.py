@@ -17,7 +17,9 @@ from scipy import integrate as scipy_integrate
 import forkwork
 from forkwork import analytic, model
 from forkwork.analytic import (
+    MIXTURE_DEPTH_CAP,
     QuadratureError,
+    _mixture_depth,
     expected_min_compute_latency,
     expected_mobility_latency,
     expected_uplink_latency,
@@ -28,8 +30,10 @@ from forkwork.analytic import (
 )
 from forkwork.channel import DiscreteLatency, LatencyDistribution, substream
 from forkwork.cli import preset_jobs
-from forkwork.model import LatencyModel, default_config, derive
+from forkwork.model import ConfigError, LatencyModel, default_config, derive
 from forkwork.simulator import estimate
+
+TOL = default_config().quadrature_tol
 
 
 def _dist(cfg=None) -> LatencyDistribution:
@@ -66,6 +70,26 @@ def test_integrator_budget_exhaustion_raises():
         integrate_adaptive(jagged, 0.0, 1.0, rel_tol=1e-14, max_intervals=8)
     assert math.isfinite(exc.value.value)
     assert exc.value.error_estimate > 0
+
+
+def test_integrator_spends_its_last_bisections_on_the_largest_errors():
+    # 8 unit intervals, each with a kink off its midpoint whose weight, and so whose
+    # error, doubles from one interval to the next: all 8 exceed their share of the
+    # budget, and 3 bisections remain, so the last 3 intervals, [5, 8], are split
+    kinks = np.arange(8) + 0.3
+    weights = 2.0 ** np.arange(8)
+    f = lambda x: np.abs(np.asarray(x)[..., None] - kinks) @ weights
+    calls = []
+
+    def recorded(x):
+        calls.append(np.asarray(x).copy())
+        return f(x)
+
+    with pytest.raises(QuadratureError, match="interval budget exhausted"):
+        integrate_adaptive(recorded, 0.0, 8.0, rel_tol=1e-14, max_intervals=4, points=kinks - 0.3)
+    assert len(calls) == 2  # the 8 intervals, then the 4 quarter panels of each split one
+    assert len(calls[1]) == 3 * 4 * len(analytic._GL_NODES)
+    assert calls[1].min() > 5.0 and calls[1].max() < 8.0
 
 
 def test_quadrature_error_survives_a_pickle_round_trip():
@@ -214,7 +238,7 @@ def test_survival_two_point_discrete():
 
 def test_survival_monotone_in_lag_and_rate():
     d = _dist()
-    grid = np.linspace(0.0, d.n_max * d.move_time + 2 * d.max_uplink, 300)
+    grid = np.linspace(0.0, _mixture_depth(d, TOL) * d.move_time + 2 * d.max_uplink, 300)
     q = survival_prob(grid, d)
     assert np.all(np.diff(q) <= 1e-12)
     q_fast = survival_prob(grid, d, compute_rate=4 * d.compute_rate)
@@ -303,7 +327,7 @@ def test_survival_window_matches_component_loop():
     d = _dist(_fig4_config(1.0, 0.05))  # mixture depth 190
     ev = analytic._evaluator(d, d.compute_rate)
     assert d.uplink_cdf(ev._onset) == 0.0  # no mass below the onset
-    t = np.linspace(-0.01, d.n_max * d.move_time + 2 * d.max_uplink, 997)
+    t = np.linspace(-0.01, _mixture_depth(d, TOL) * d.move_time + 2 * d.max_uplink, 997)
     assert np.max(np.abs(survival_prob(t, d) - _component_loop_q(ev, d, t))) <= 1e-14
 
 
@@ -322,9 +346,10 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
     assert np.max(np.abs(survival_prob(t, d) - ref)) <= 3e-15
 
 
-def _beyond_sum_against_brute_force(ev, phases, power):
-    """``ev._beyond_sum`` at the window's last lags, the count of terms it took, and the
-    gap to a sum through ``_beyond`` of every term whose weight is above 1e-20."""
+def _beyond_sum_against_brute_force(ev, phases, power, terms):
+    """``ev._beyond_sum`` of at most ``terms`` terms at the window's last lags, the count of
+    terms it took, and the gap to a sum through ``_beyond`` of every term whose weight is
+    above 1e-20."""
     d = ev.dist
     p, tm = d.success_prob, d.move_time
     x_last = d.max_uplink - tm + tm * phases
@@ -337,7 +362,7 @@ def _beyond_sum_against_brute_force(ev, phases, power):
 
     ev._beyond = recording
     try:
-        sums, skipped = ev._beyond_sum(q_last, x_last, power)
+        sums, skipped = ev._beyond_sum(q_last, x_last, power, terms)
     finally:
         del ev._beyond
     i = np.arange(math.ceil(math.log(1e-20) / ev._log_stay), dtype=float)
@@ -351,21 +376,25 @@ def test_beyond_sum_bounds_what_it_leaves_out_when_it_stops_early():
     # at J = 176 of n_max + 1 = 191
     d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate)
-    skipped, last, gap = _beyond_sum_against_brute_force(ev, np.linspace(0.0, 1.0, 513)[1:], 9)
-    assert last < d.n_max + 1
-    assert 0.0 < skipped <= ev.tail
+    terms = _mixture_depth(d, TOL) + 1
+    phases = np.linspace(0.0, 1.0, 513)[1:]
+    skipped, last, gap = _beyond_sum_against_brute_force(ev, phases, 9, terms)
+    assert last < terms
+    assert 0.0 < skipped <= (1.0 - d.success_prob) ** terms  # the tail weight
     assert np.all(gap <= skipped + 1e-15)
     assert np.max(gap) >= 0.5 * skipped  # what it left out is real, not rounding
 
 
 def test_beyond_sum_bounds_what_it_leaves_out_when_it_runs_out():
-    # with no floor the sum runs to n_max + 1 terms; the components past n_max
-    # that it leaves out weigh 8.7e-13 in all and must be in its bound
+    # 8 phases: blocks of 1024 columns, so the first holds all n_max + 1 terms and
+    # the sum runs out; the components past n_max that it leaves out weigh 8.7e-13
+    # in all and must be in its bound
     d = _dist(_fig4_config(1.0, 0.05))
-    ev = analytic._SurvivalEvaluator(d, d.compute_rate)  # not the cached one
-    ev.tail = 0.0
-    skipped, last, gap = _beyond_sum_against_brute_force(ev, np.linspace(0.0, 1.0, 9)[1:], 1)
-    assert last == d.n_max + 1
+    ev = analytic._evaluator(d, d.compute_rate)
+    terms = _mixture_depth(d, TOL) + 1
+    phases = np.linspace(0.0, 1.0, 9)[1:]
+    skipped, last, gap = _beyond_sum_against_brute_force(ev, phases, 1, terms)
+    assert last == terms
     assert np.all(gap <= skipped + 1e-15)
     assert np.max(gap) >= 0.5 * skipped > 0.0
 
@@ -373,8 +402,8 @@ def test_beyond_sum_bounds_what_it_leaves_out_when_it_runs_out():
 def test_phase_sum_matches_component_loop():
     # the reference q comes from the component loop, not from survival_prob, and
     # the mixture sum runs over every relocation count whose weight is above 1e-17;
-    # at quadrature_tol 1e-11 the law's tail weight, below which terms are skipped, is <= 1e-15
-    d = _dist(replace(_fig4_config(1.0, 0.05), quadrature_tol=1e-11))
+    # at quadrature_tol 1e-11 the tail weight, below which terms are skipped, is <= 1e-15
+    d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate)
     p, tm, power = d.success_prob, d.move_time, 9
     phi = np.linspace(tm * 1e-3, tm, 31)
@@ -385,7 +414,7 @@ def test_phase_sum_matches_component_loop():
     mixture = np.array([(p * (1.0 - p) ** m) @ powers[i + m] for i in k])  # row k: S_k(phi)
     dens = d.uplink_pdf(phi + tm * k[:, None])
     ref = (dens * mixture).sum(axis=0)
-    sums, skipped = ev.phase_sum(phi, power)
+    sums, skipped = ev.phase_sum(phi, power, _mixture_depth(d, 1e-11) + 1)
     assert skipped <= 1e-15
     # each S_k is a mixture of probabilities, so the error scales with sum_k f_up
     assert np.max(np.abs(sums - ref) / dens.sum(axis=0)) <= 1e-13 + skipped
@@ -393,9 +422,10 @@ def test_phase_sum_matches_component_loop():
 
 def test_survival_memory_does_not_grow_with_mixture_depth():
     d = _dist(_fig4_config(2.0, 0.05))
-    assert d.n_max == 1494
+    n_max = _mixture_depth(d, TOL)
+    assert n_max == 1494
     survival_prob(0.1, d)  # build the evaluator outside the measurement
-    t = np.linspace(0.0, d.n_max * d.move_time + d.max_uplink, 100_000)
+    t = np.linspace(0.0, n_max * d.move_time + d.max_uplink, 100_000)
     tracemalloc.start()
     try:
         q = survival_prob(t, d)
@@ -405,6 +435,45 @@ def test_survival_memory_does_not_grow_with_mixture_depth():
     assert peak < 64 * 2**20
     assert np.all((q >= 0.0) & (q <= 1.0))
     assert np.all(np.diff(q) <= 1e-12)
+
+
+# --- mixture depth -----------------------------------------------------------
+
+
+def test_mixture_tail_mass_bound():
+    d = _dist()
+    p, n_max, tail = d.success_prob, _mixture_depth(d, TOL), 1e-4 * TOL
+    assert (1 - p) ** (n_max + 1) <= tail < (1 - p) ** n_max  # the smallest such depth
+    assert (p * (1 - p) ** np.arange(n_max + 1)).sum() >= 1 - tail
+
+
+def test_mixture_depth_cap():
+    # the threshold at 21x the mean SNR: success probability e^-21, ~3.6e10 components;
+    # the law builds, and p_n refuses the config before it builds an evaluator
+    cfg = default_config(snr_fraction=21.0)
+    d = _dist(cfg)
+    with pytest.raises(ConfigError, match="relocation mixture needs"):
+        _mixture_depth(d, TOL)
+    analytic._evaluator.cache_clear()
+    message = f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components"
+    with pytest.raises(ConfigError, match=message):
+        no_forking_probability(cfg)
+    assert analytic._evaluator.cache_info().misses == 0
+    assert no_forking_probability(replace(cfg, num_miners=1)) == (1.0, 0.0)
+    # wireless-only never sums the mixture
+    assert _mixture_depth(replace(d, variant=LatencyModel.WIRELESS_ONLY), TOL) == 0
+
+
+def test_configs_differing_only_in_tolerance_share_one_law_and_fit():
+    cfg = _fig4_config(1.0, 0.05)
+    tight = replace(cfg, quadrature_tol=1e-11)
+    assert _dist(cfg) == _dist(tight)
+    assert _mixture_depth(_dist(cfg), TOL) < _mixture_depth(_dist(tight), 1e-11)
+    analytic._evaluator.cache_clear()
+    loose_p, loose_err = no_forking_probability(cfg)
+    tight_p, tight_err = no_forking_probability(tight)
+    assert analytic._evaluator.cache_info().misses == 1
+    assert tight_err < loose_err and abs(tight_p - loose_p) <= loose_err + tight_err
 
 
 # --- no-forking probability ------------------------------------------------
@@ -590,7 +659,7 @@ def test_no_fork_property_in_unit_interval_and_falls_with_miners(
 
 
 def test_variants_coincide_without_relocation():
-    total = replace(_dist(), success_prob=1.0, n_max=0)
+    total = replace(_dist(), success_prob=1.0)
     wireless = replace(total, variant=LatencyModel.WIRELESS_ONLY)
     cfg = default_config(num_miners=12)
     p_total, _ = no_forking_probability(cfg, dist=total)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from forkwork.analytic import _mixture_depth
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
@@ -14,11 +15,12 @@ from forkwork.channel import (
     uplink_latency,
 )
 from forkwork.cli import preset_jobs
-from forkwork.model import ConfigError, LatencyModel, default_config, derive
+from forkwork.model import LatencyModel, default_config, derive
 from forkwork.simulator import _race
 
 RATE = 0.32  # default compute rate
-TAIL = 1e-4 * default_config().quadrature_tol  # mixture mass past the default n_max
+TOL = default_config().quadrature_tol
+TAIL = 1e-4 * TOL  # mixture mass past the default tolerance's depth, _mixture_depth(d, TOL)
 
 
 def _dist(**overrides) -> LatencyDistribution:
@@ -41,7 +43,7 @@ def mixture_weights(d) -> np.ndarray:
     """Truncated geometric weights of the relocation count (sums to >= 1 - TAIL by default)."""
     if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
         return np.array([1.0])
-    return d.success_prob * (1.0 - d.success_prob) ** np.arange(d.n_max + 1)
+    return d.success_prob * (1.0 - d.success_prob) ** np.arange(_mixture_depth(d, TOL) + 1)
 
 
 def total_cdf(d, t):
@@ -231,21 +233,8 @@ def test_uplink_sampler_matches_cdf():
 # --- total latency mixture ----------------------------------------------------
 
 
-def test_mixture_tail_mass_bound():
-    d = _dist()
-    p = d.success_prob
-    assert (1 - p) ** (d.n_max + 1) <= TAIL < (1 - p) ** d.n_max  # the smallest such depth
-    assert mixture_weights(d).sum() >= 1 - TAIL
-
-
-def test_mixture_depth_cap():
-    # the threshold at 21x the mean SNR: success probability e^-21, ~3.6e10 components
-    with pytest.raises(ConfigError, match="relocation mixture needs"):
-        LatencyDistribution.from_config(default_config(snr_fraction=21.0))
-
-
 def test_total_cdf_reduces_to_uplink_when_no_moves():
-    d = _dist(success_prob=1.0, n_max=0)
+    d = _dist(success_prob=1.0)
     grid = np.linspace(0.0, d.max_uplink, 64)
     assert np.allclose(total_cdf(d, grid), d.uplink_cdf(grid), atol=1e-15)
 
@@ -254,13 +243,13 @@ def test_total_cdf_support():
     d = _dist()
     assert total_cdf(d, -0.5) == 0.0
     assert total_cdf(d, 0.0) == 0.0
-    top = d.n_max * d.move_time + d.max_uplink
+    top = _mixture_depth(d, TOL) * d.move_time + d.max_uplink
     assert total_cdf(d, top) >= 1 - TAIL
 
 
 def test_total_cdf_monotone():
     d = _dist()
-    grid = np.linspace(0.0, d.n_max * d.move_time + d.max_uplink, 400)
+    grid = np.linspace(0.0, _mixture_depth(d, TOL) * d.move_time + d.max_uplink, 400)
     vals = total_cdf(d, grid)
     assert np.all(np.diff(vals) >= -1e-12)
 

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from forkwork import analytic, channel, cli, model, simulator
-from forkwork.analytic import QuadratureError, evaluate
-from forkwork.channel import MIXTURE_DEPTH_CAP
+from forkwork.analytic import MIXTURE_DEPTH_CAP, QuadratureError, evaluate
 from forkwork.model import (
     LatencyModel,
     SystemConfig,
@@ -52,6 +51,13 @@ def _rows(csv_text):
     lines = csv_text.strip().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def _finite_row(out):
+    """The one row of the CSV at ``out``, after checking that every metric cell is finite."""
+    row = _rows(out.read_text())[1][0]
+    assert all(math.isfinite(float(v)) for k, v in row.items() if k != "config_hash"), row
+    return row
 
 
 def _readme_headers():
@@ -221,6 +227,18 @@ def test_quadrature_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "quadrature failure" in capsys.readouterr().err
 
 
+def test_p_n_below_1e9_is_a_quadrature_failure(tmp_path, monkeypatch, capsys):
+    # the block energy 1 / p_n would be unreliable; no real config reaches the guard
+    monkeypatch.setattr(analytic, "no_forking_probability", lambda config: (1e-10, 1e-19))
+    with pytest.raises(QuadratureError, match="below 1e-9") as exc:
+        evaluate(default_config())
+    assert (exc.value.value, exc.value.error_estimate) == (1e-10, 1e-19)
+    out = tmp_path / "row.csv"
+    assert cli.main(["analytic", _write_config(tmp_path), "--out", str(out)]) == 2
+    assert "quadrature failure: no-forking probability below 1e-9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quadrature_failure_reports_plain_floats(tmp_path, capsys):
     # at I = 1,000,000 the fit's term (I - 1) delta passes the error budget
     path = _write_config(tmp_path, default_config(1_000_000))
@@ -244,26 +262,54 @@ def test_usage_error_exit_code(capsys):
 )
 def test_law_construction_error_exit_code(tmp_path, capsys, command, snr_fraction, message):
     path = _write_config(tmp_path, default_config(snr_fraction=snr_fraction))
-    assert cli.main([command, path, "--out", str(tmp_path / "row.csv")]) == 1
+    out = tmp_path / "row.csv"
+    code = cli.main([command, path, "--out", str(out)])
     err = capsys.readouterr().err
+    if command == "simulate" and snr_fraction == 21.0:  # only p_n sums the relocation mixture
+        assert code == 0, err
+        _finite_row(out)
+        return
+    assert code == 1
     assert err.startswith("config error: ") and message in err
-    assert not (tmp_path / "row.csv").exists()
+    assert not out.exists()
 
 
 # thresholds at f x the mean SNR, past the depth cap, up to a subnormal success
 # probability at f = 720: the depth is compared with the cap before it is rounded,
-# so none of them may hang (the child's timeout) or overflow (a traceback)
+# so none of them may hang (the child's timeout) or overflow (a traceback). Only
+# p_n sums the relocation mixture: simulate answers below f = 720, with p_n near
+# 1 / I as the relocations dwarf every compute time, and at f = 720 the mean
+# relocation count overflows for both commands
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 @pytest.mark.parametrize("snr_fraction", [25.0, 29.0, 40.0, 100.0, 720.0])
 def test_mixture_depth_cap_is_config_error(tmp_path, command, snr_fraction):
-    path = _write_config(tmp_path, default_config(snr_fraction=snr_fraction))
+    cfg = default_config(snr_fraction=snr_fraction)
     out = tmp_path / "row.csv"
-    done = _cli_in_child([command, path, "--out", str(out)])
-    assert done.returncode == 1, done.stderr
-    cap = f"config error: relocation mixture needs more than {MIXTURE_DEPTH_CAP} components"
-    assert done.stderr.startswith(cap)
+    done = _cli_in_child([command, _write_config(tmp_path, cfg), "--out", str(out)])
     assert "Traceback" not in done.stderr
-    assert not out.exists()
+    if snr_fraction == 720.0:
+        assert done.returncode == 1
+        assert done.stderr.startswith("config error: mean relocation count")
+        assert not out.exists()
+    elif command == "simulate":
+        assert done.returncode == 0, done.stderr
+        row = _finite_row(out)
+        assert abs(float(row["p_n"]) - 1 / cfg.num_miners) <= 4 * float(row["p_n_se"])
+    else:
+        assert done.returncode == 1
+        cap = f"config error: relocation mixture needs more than {MIXTURE_DEPTH_CAP} components"
+        assert done.stderr.startswith(cap)
+        assert not out.exists()
+
+
+def test_analytic_single_miner_past_the_depth_cap_answers(tmp_path):
+    # p_n = 1 at I = 1 needs no mixture; at I = 2 the same link is past the cap
+    cfg = default_config(num_miners=1, snr_fraction=25.0)
+    out = tmp_path / "row.csv"
+    assert cli.main(["analytic", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert float(_finite_row(out)["p_n"]) == 1.0
+    path = _write_config(tmp_path, replace(cfg, num_miners=2))
+    assert cli.main(["analytic", path, "--out", str(out)]) == 1
 
 
 # wireless-only draws relocations too: at f = 720 the success probability is
@@ -283,8 +329,7 @@ def test_wireless_only_subnormal_success_is_config_error(tmp_path, command, snr_
         assert done.stderr.startswith("config error: mean relocation count")
         assert not out.exists()
     else:
-        row = _rows(out.read_text())[1][0]
-        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "config_hash")
+        _finite_row(out)
 
 
 @pytest.mark.parametrize(
@@ -540,6 +585,15 @@ def test_sweep_rejects_bad_spec(tmp_path):
     assert cli.main(["sweep", spec3]) == 1
 
 
+def test_sweep_spec_trials_must_be_integers(tmp_path, capsys):
+    spec = _sweep_file(tmp_path, "sweep_param = num_miners\nsweep_values = 2\nround_trials = 1e5\n")
+    out = tmp_path / "table.csv"
+    assert cli.main(["sweep", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: round_trials and block_trials must be integers\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "param, values, message",
     [
@@ -703,15 +757,21 @@ def test_sweep_point_failure_warns_and_continues(tmp_path, monkeypatch):
     assert b"snr_threshold_db=250" in outputs[0][1]
 
 
-def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
+def _threshold_spec(tmp_path, *fractions):
+    """A sweep spec over thresholds at ``fractions`` x the default link's mean SNR."""
     link_snr = mean_snr(default_channel())
-    good_db, bad_db = (10 * math.log10(f * link_snr) for f in (1.0, 720.0))
-    spec = _sweep_file(
+    values = ", ".join(repr(10 * math.log10(f * link_snr)) for f in fractions)
+    return _sweep_file(
         tmp_path,
         "sweep_param = snr_threshold_db\n"
-        f"sweep_values = {good_db!r}, {bad_db!r}\n"
+        f"sweep_values = {values}\n"
         "round_trials = 1000\nblock_trials = 100\n",
     )
+
+
+def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
+    # at 25x only p_n needs the mixture; at 720x neither half can build the law
+    spec = _threshold_spec(tmp_path, 1.0, 25.0, 720.0)
     out = tmp_path / "mixed.csv"
     done = _cli_in_child(["sweep", spec, "--out", str(out)])
     assert done.returncode == 0, done.stderr
@@ -719,11 +779,33 @@ def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
     header, rows = _rows(out.read_text())
     labels = ("param", "value", "seed", "config_hash")
     metrics = [c for c in header if c not in labels]
-    assert len(rows) == 2
+    analytic_cells = ("p_n_analytic", "energy_analytic", "e_s", "e_tm", "e_tu")
+    assert len(rows) == 3
     assert all(rows[0][c] != "" for c in metrics)
-    assert all(rows[1][c] == "" for c in metrics)
-    warnings = (tmp_path / "mixed.csv.warnings").read_text()
-    assert warnings.count("relocation mixture needs") == 2  # the analytic and the simulation
+    assert all((rows[1][c] == "") == (c in analytic_cells) for c in metrics)
+    assert all(rows[2][c] == "" for c in metrics)
+    warnings = (tmp_path / "mixed.csv.warnings").read_text().splitlines()
+    assert len(warnings) == 3  # in point order: one for 25x, two for 720x
+    assert "analytic failed: relocation mixture needs" in warnings[0]
+    assert "analytic failed: mean relocation count" in warnings[1]
+    assert "simulation failed: mean relocation count" in warnings[2]
+
+
+def test_sweep_to_stdout_warns_on_stderr(tmp_path, monkeypatch, capsys):
+    # with --out -, the CSV goes to stdout and each warning to stderr: no sidecar
+    monkeypatch.chdir(tmp_path)
+    spec = _threshold_spec(tmp_path, 1.0, 25.0)
+    assert cli.main(["sweep", spec, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    header, rows = _rows(captured.out)
+    assert header == list(cli.SWEEP_SCHEMA) and len(rows) == 2
+    assert rows[0]["p_n_analytic"] != "" and rows[1]["p_n_analytic"] == ""
+    assert rows[1]["p_n_sim"] != ""
+    (warning,) = captured.err.splitlines()
+    assert re.fullmatch(
+        r"warning: snr_threshold_db=[\d.]+: analytic failed: relocation mixture needs .*", warning
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.txt"]
 
 
 # the link of the forky simulation benchmark: p_n about 0.29, so most blocks fork

@@ -203,6 +203,21 @@ def test_parse_bad_number_rejected():
     assert any("distance_m" in e for e in exc.value.errors)
 
 
+def test_parse_skips_blank_lines_and_comments():
+    cfg = default_config(num_miners=7)
+    lines = config_text(cfg).splitlines()
+    text = "\n".join(["# a full-line comment", "", *lines[:3], "   ", "  # indented", *lines[3:]])
+    assert parse_config_text(text) == parse_config_text(config_text(cfg))
+
+
+def test_parse_line_without_equals_names_its_line():
+    lines = config_text(default_config()).splitlines()
+    text = "\n".join([*lines[:2], "num_miners 10", *lines[2:]])
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert exc.value.errors == ["line 3: expected 'key = value', got 'num_miners 10'"]
+
+
 def test_parse_latency_model_values():
     text = config_text(default_config())
     assert parse_config_text(text).latency_model is LatencyModel.TOTAL
