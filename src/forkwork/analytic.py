@@ -52,11 +52,10 @@ is concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
 from .model import AnalyticResult, ConfigError, LatencyModel, QuadratureError, SystemConfig
@@ -76,14 +75,22 @@ __all__ = [
 
 # --- adaptive quadrature ------------------------------------------------
 #
-# Bisection with 20-point Gauss-Legendre panels. The error of an interval is
-# |coarse - (left + right)|, which for smooth integrands vastly
-# overestimates the error of the refined value; estimates stay
-# conservative. A round-off floor of 50 eps per unit of summed |panel value|,
-# as in QUADPACK's rules, covers an integrand accurate only to rounding. The
-# integrand must accept numpy arrays; each pass evaluates it once, on every panel's nodes.
+# Bisection with 20-point Gauss-Legendre panels, tabulated as QUADPACK tabulates its rules, to
+# the bit of numpy's leggauss(20): (node, weight) at the ten positive nodes, mirrored about 0.
+# The error of an interval is |coarse - (left + right)|, which for smooth integrands vastly
+# overestimates the error of the refined value; estimates stay conservative. A round-off floor
+# of 50 eps per unit of summed |panel value|, as in QUADPACK's rules, covers an integrand
+# accurate only to rounding. The integrand must accept numpy arrays; each pass evaluates it
+# once, on every panel's nodes.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_HALF = np.array([
+    (0.07652652113349734, 0.15275338713072628), (0.22778585114164507, 0.14917298647260424),
+    (0.37370608871541955, 0.1420961093183824), (0.5108670019508271, 0.1316886384491769),
+    (0.636053680726515, 0.1181945319615186), (0.7463319064601508, 0.1019301198172407),
+    (0.8391169718222188, 0.08327674157670471), (0.912234428251326, 0.06267204833410879),
+    (0.9639719272779138, 0.040601429800386446), (0.993128599185095, 0.017614007139150893),
+])
+_GL_NODES, _GL_WEIGHTS = np.concatenate([_GL_HALF[::-1] * (-1.0, 1.0), _GL_HALF]).T.copy()
 _ROUND_OFF = 50.0 * float(np.finfo(float).eps)
 
 
@@ -189,6 +196,19 @@ def _mixture_depth(dist: LatencyDistribution, tol: float) -> int:
 _BLOCK = 1 << 13
 
 
+def _antiderivative(coef, scl: float):
+    """chebint(coef, lbnd=-1, scl=scl, axis=1) by its float operations in its order: the
+    recurrence for each row's antiderivative, then Clenshaw at y = -1 for its constant."""
+    c = coef.T * scl
+    out = np.zeros((len(c) + 1, c.shape[1]))
+    out[1], out[2] = c[0], c[1] / 4
+    for j in range(2, len(c)):
+        out[j + 1], out[j - 1] = c[j] / (2 * (j + 1)), out[j - 1] - c[j] / (2 * (j - 1))
+    b0, b1 = reduce(lambda b, row: (row - b[1], b[0] - 2.0 * b[1]), out[-3::-1], out[-2:])
+    out[0] = 0.0 - (b0 - b1)
+    return out.T
+
+
 class _DecayedFit:
     """G(x) = integral_a^x exp(-rate (x - u)) f(u) du on [a, b], piecewise Chebyshev.
 
@@ -207,8 +227,10 @@ class _DecayedFit:
     DEGREE = 32
     COEF_TOL = 1e-14
     MAX_PANELS = 1 << 14
-    _NODES = chebyshev.chebpts1(DEGREE + 1)  # y in (-1, 1)
-    _FIT = chebyshev.chebvander(_NODES, DEGREE) * (2.0 / (DEGREE + 1))  # node values -> coefs
+    _NODES = np.sin(0.5 * np.pi / (DEGREE + 1) * np.arange(-DEGREE, DEGREE + 2, 2))  # chebpts1
+    _FIT = np.array(reduce(  # T_k at the nodes by chebvander's recurrence
+        lambda t, _: [*t, t[-1] * (2 * t[1]) - t[-2]], range(DEGREE - 1), [_NODES * 0 + 1, _NODES]
+    )).T * (2.0 / (DEGREE + 1))  # node values -> coefs
     _FIT[:, 0] *= 0.5  # at the nodes T_0^2 sums to DEGREE + 1, any other T_k^2 to half that
 
     def __init__(self, f, rate, a, b):
@@ -226,7 +248,7 @@ class _DecayedFit:
                 if float(mags[:, -4:].max()) <= self.COEF_TOL * scale:
                     break
             n *= 2
-        prim = chebyshev.chebint(coef, lbnd=-1.0, scl=0.5 * width, axis=1)
+        prim = _antiderivative(coef, 0.5 * width)
         decay = math.exp(-rate * width)
         # G at every edge from the one before; every T_k is 1 at y = 1
         g = list(accumulate(prim.sum(axis=1).tolist(), lambda g0, s: decay * g0 + s, initial=0.0))
@@ -446,8 +468,7 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
     num = config.num_miners
     if num == 1:
         return 1.0, 0.0
-    if dist is None:
-        dist = LatencyDistribution.from_config(config)
+    dist = LatencyDistribution.from_config(config) if dist is None else dist
     rate = config.derived.compute_rate
 
     if isinstance(dist, DiscreteLatency):
@@ -505,12 +526,12 @@ def expected_mobility_latency(config: SystemConfig) -> float:
     return d.move_time_s * math.expm1(exponent)
 
 
-def expected_uplink_latency(config: SystemConfig) -> tuple[float, float]:
-    """Mean uplink latency, integrating the CCDF over its support.
+def expected_uplink_latency(config: SystemConfig, *, dist=None) -> tuple[float, float]:
+    """Mean uplink latency, integrating the CCDF of ``dist`` (``config``'s law) over its support.
 
     Returns (value, absolute error estimate); value lies in (0, max_uplink).
     """
-    dist = LatencyDistribution.from_config(config)
+    dist = LatencyDistribution.from_config(config) if dist is None else dist
     return integrate_adaptive(dist.uplink_ccdf, 0.0, dist.max_uplink, rel_tol=config.quadrature_tol)
 
 
@@ -523,7 +544,8 @@ def evaluate(config: SystemConfig) -> AnalyticResult:
     Raises :class:`QuadratureError` when p_no_fork is below 1e-9 (the block
     energy would be unreliable).
     """
-    p_nofork, p_err = no_forking_probability(config)
+    dist = LatencyDistribution.from_config(config)  # the one build, for p_n and E[T_up]
+    p_nofork, p_err = no_forking_probability(config, dist=dist)
     if p_nofork < 1e-9:
         raise QuadratureError(
             "no-forking probability below 1e-9; block energy unreliable",
@@ -531,7 +553,7 @@ def evaluate(config: SystemConfig) -> AnalyticResult:
             error_estimate=p_err,
         )
     exp_min = expected_min_compute_latency(config)
-    exp_up, exp_up_err = expected_uplink_latency(config)
+    exp_up, exp_up_err = expected_uplink_latency(config, dist=dist)
     exp_mob = expected_mobility_latency(config)
     round_energy = (
         config.miner.compute_power_w * exp_min

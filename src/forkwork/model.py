@@ -12,7 +12,6 @@ appear only at the config-file boundary.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -438,7 +437,11 @@ def _field_items(obj, prefix: str = ""):
 def config_digest(config: SystemConfig) -> str:
     """Short stable hash of the exact value of every SystemConfig field (CSV provenance)."""
     blob = ";".join(f"{k}={v!r}" for k, v in _field_items(config))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    for name in ("_sha2", "_sha256", "hashlib"):  # builtin SHA-256 (3.12+, 3.10/3.11): no OpenSSL
+        try:
+            return __import__(name).sha256(blob.encode()).hexdigest()[:12]
+        except ImportError:
+            pass
 
 
 # --- defaults ---------------------------------------------------------------

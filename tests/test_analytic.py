@@ -205,6 +205,14 @@ def test_integrator_rejects_a_bound_that_is_not_finite(side, bad):
         integrate_adaptive(f, bounds["a"], bounds["b"], rel_tol=1e-8)
 
 
+def test_quadrature_rule_is_numpy_leggauss_to_the_bit():
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(20)
+    assert np.array_equal(analytic._GL_NODES, nodes)
+    assert np.array_equal(analytic._GL_WEIGHTS, weights)
+
+
 # --- survival probability -------------------------------------------------
 
 
@@ -281,6 +289,28 @@ def test_decayed_fit_where_the_growing_tilt_would_overflow():
     edges = fit.width * np.arange(1, n)
     for side in (-np.inf, np.inf):
         assert np.max(np.abs(fit(np.nextafter(edges, side)) - fit(edges))) <= 1e-16
+
+
+def test_fit_tables_are_numpy_chebyshev_to_the_bit():
+    from numpy.polynomial import chebyshev
+
+    fit = analytic._DecayedFit
+    assert np.array_equal(fit._NODES, chebyshev.chebpts1(fit.DEGREE + 1))
+    table = chebyshev.chebvander(fit._NODES, fit.DEGREE) * (2.0 / (fit.DEGREE + 1))
+    table[:, 0] *= 0.5
+    assert np.array_equal(fit._FIT, table)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64])
+def test_antiderivative_is_chebint_to_the_bit(rows):
+    from numpy.polynomial import chebyshev
+
+    rng = np.random.default_rng(rows)
+    for scl in (0.5, 1e-3, 0.123456789, 7.25):
+        # coefficients that decay as a fit's do, so the small ones meet large partial sums
+        coef = rng.standard_normal((rows, 33)) * np.logspace(0, -15, 33)
+        expected = chebyshev.chebint(coef, lbnd=-1.0, scl=scl, axis=1)
+        assert np.array_equal(analytic._antiderivative(coef, scl), expected)
 
 
 def test_fit_samples_each_level_in_one_call(monkeypatch):
@@ -746,6 +776,23 @@ def test_expected_uplink_error_estimate_bounds_true_error(tx_power, fraction):
     reference, _ = scipy_integrate.quad(ccdf, 0.0, d.max_uplink, epsabs=0.0, epsrel=1e-13)
     assert 0.0 < res.exp_uplink_error <= cfg.quadrature_tol * res.exp_uplink
     assert abs(res.exp_uplink - reference) <= res.exp_uplink_error
+
+
+def test_evaluate_builds_the_latency_law_once(monkeypatch):
+    calls = []
+    build = LatencyDistribution.from_config.__func__
+
+    def counting(cls, cfg):
+        calls.append(cfg)
+        return build(cls, cfg)
+
+    monkeypatch.setattr(LatencyDistribution, "from_config", classmethod(counting))
+    evaluate(default_config())
+    assert len(calls) == 1
+    # at I = 1 p_n needs no law, yet a law that cannot be built is still a config error
+    cfg = default_config(1, snr_fraction=720.0, latency_model=LatencyModel.WIRELESS_ONLY)
+    with pytest.raises(ConfigError, match="mean relocation count"):
+        evaluate(cfg)
 
 
 # --- energy bundle ------------------------------------------------------------

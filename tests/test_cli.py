@@ -229,7 +229,9 @@ def test_quadrature_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_p_n_below_1e9_is_a_quadrature_failure(tmp_path, monkeypatch, capsys):
     # the block energy 1 / p_n would be unreliable; no real config reaches the guard
-    monkeypatch.setattr(analytic, "no_forking_probability", lambda config: (1e-10, 1e-19))
+    monkeypatch.setattr(
+        analytic, "no_forking_probability", lambda config, *, dist=None: (1e-10, 1e-19)
+    )
     with pytest.raises(QuadratureError, match="below 1e-9") as exc:
         evaluate(default_config())
     assert (exc.value.value, exc.value.error_estimate) == (1e-10, 1e-19)
@@ -789,6 +791,20 @@ def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
     assert "analytic failed: relocation mixture needs" in warnings[0]
     assert "analytic failed: mean relocation count" in warnings[1]
     assert "simulation failed: mean relocation count" in warnings[2]
+
+
+def test_sweep_warning_names_its_point_by_repr_and_matches_the_row_as_a_float(tmp_path):
+    # a warning reads <param>=<repr(value)>: <half> failed: <reason>, while the row's value
+    # cell has 17 significant digits, so the two match as floats, not always as text
+    spec = _threshold_spec(tmp_path, 1.0, 25.0)
+    out = tmp_path / "two.csv"
+    assert cli.main(["sweep", spec, "--workers", "1", "--out", str(out)]) == 0
+    value = 10 * math.log10(25.0 * mean_snr(default_channel()))
+    (warning,) = Path(f"{out}.warnings").read_text().splitlines()
+    prefix, half, _ = warning.split(": ", 2)
+    assert (prefix, half) == (f"snr_threshold_db={value!r}", "analytic failed")
+    row = _rows(out.read_text())[1][1]
+    assert float(prefix.split("=", 1)[1]) == float(row["value"])
 
 
 def test_sweep_to_stdout_warns_on_stderr(tmp_path, monkeypatch, capsys):

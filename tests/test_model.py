@@ -1,11 +1,16 @@
+import hashlib
+import importlib
 import math
 import pickle
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from forkwork import model
+from forkwork.cli import preset_jobs
 from forkwork.model import (
     ChannelParams,
     ConfigError,
@@ -254,6 +259,43 @@ def test_config_keeps_derived_scalars_outside_its_fields():
     assert copy == cfg and hash(copy) == hash(cfg) and copy.derived == cfg.derived
     moved = replace(cfg, miner=replace(cfg.miner, lambda0=0.08))
     assert moved.derived.compute_rate == 2 * cfg.derived.compute_rate
+
+
+# where each module is the interpreter's SHA-256 for the digest: _sha2 builtin on 3.12+,
+# _sha256 on 3.10 and 3.11, hashlib (OpenSSL) only where neither exists
+DIGEST_MODULES = ("_sha2", "_sha256", "hashlib")
+
+
+@pytest.mark.parametrize("source", DIGEST_MODULES)
+def test_config_digest_is_hashlib_sha256_from_every_source(monkeypatch, source):
+    configs = [default_config()]
+    configs += [
+        default_config(miners, tx_power_w=tx, snr_fraction=fraction)
+        for miners in (2, 5, 10, 20)
+        for tx in (0.1, 1.0)
+        for fraction in (0.5, 1.0)
+    ]
+    configs += [cfg for _, _, cfg in preset_jobs("fig4")]
+    expected = []
+    for cfg in configs:
+        blob = ";".join(f"{k}={v!r}" for k, v in model._field_items(cfg))
+        expected.append(hashlib.sha256(blob.encode()).hexdigest()[:12])
+    for earlier in DIGEST_MODULES[: DIGEST_MODULES.index(source)]:
+        monkeypatch.setitem(sys.modules, earlier, None)  # its import now raises ImportError
+    try:
+        module = importlib.import_module(source)
+    except ImportError:
+        pytest.skip(f"this interpreter has no {source}")
+    calls = []
+    sha256 = module.sha256
+
+    def counting(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(module, "sha256", counting)
+    assert [config_digest(cfg) for cfg in configs] == expected
+    assert len(calls) == len(configs) == 37
 
 
 def test_config_digest_covers_tolerances():

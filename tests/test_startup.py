@@ -2,8 +2,12 @@
 ``import forkwork.cli`` loads neither the analytic nor the simulator half, a
 CLI command loads no pool machinery, no ``numpy.ma`` and no half it does not
 use, a sweep loads both halves before it starts a pool, and the CLI caps the
-BLAS threads before numpy loads. Each check runs in a child interpreter, since
-this process has long since imported all of it."""
+BLAS threads before numpy loads. ``analytic`` and loading a config load neither
+``numpy.polynomial`` nor OpenSSL (``_hashlib``): the CSV's config hash takes
+SHA-256 from the interpreter's builtin module. ``simulate`` and ``sweep`` still
+load ``_hashlib``, through ``numpy.random`` and its ``secrets`` import. Each
+check runs in a child interpreter, since this process has long since imported
+all of it."""
 
 import os
 import subprocess
@@ -62,7 +66,10 @@ HALVES = ("forkwork.analytic", "forkwork.simulator")
 @pytest.mark.parametrize(
     "args, other_half",
     [
-        (["analytic"], ("forkwork.simulator", "numpy.random")),
+        (
+            ["analytic"],
+            ("forkwork.simulator", "numpy.random", "numpy.polynomial", "hashlib", "_hashlib"),
+        ),
         (
             ["simulate", "--trials", "2000", "--blocks", "100", "--workers", "1"],
             ("forkwork.analytic", "numpy.polynomial"),
@@ -85,6 +92,20 @@ def test_cli_command_loads_no_pool_machinery_or_numpy_ma(tmp_path, args, other_h
     )
     assert _child(code) == "[]\n"
     assert out.read_text().count("\n") == 2  # the command ran: header and one row
+
+
+def test_loading_a_config_loads_no_openssl(tmp_path):
+    # the benchmark's set-up path: the CLI imported and an input config parsed
+    config = tmp_path / "config.txt"
+    config.write_text(config_text(default_config()))
+    code = (
+        "import sys\n"
+        "from forkwork.cli import main\n"
+        "from forkwork import load_config\n"
+        f"load_config({str(config)!r})\n"
+        "print([m for m in ('_hashlib', 'hashlib') if m in sys.modules])\n"
+    )
+    assert _child(code) == "[]\n"
 
 
 def test_cli_import_loads_neither_half_and_sweep_both_before_its_pool(tmp_path):
