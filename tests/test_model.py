@@ -261,8 +261,8 @@ def test_config_keeps_derived_scalars_outside_its_fields():
     assert moved.derived.compute_rate == 2 * cfg.derived.compute_rate
 
 
-# where each module is the interpreter's SHA-256 for the digest: _sha2 builtin on 3.12+,
-# _sha256 on 3.10 and 3.11, hashlib (OpenSSL) only where neither exists
+# the digest's SHA-256 sources in the order it tries them: the builtin _sha2 (3.12+) or
+# _sha256 (3.10, 3.11), then hashlib (OpenSSL) only where neither exists
 DIGEST_MODULES = ("_sha2", "_sha256", "hashlib")
 
 
