@@ -39,14 +39,24 @@ where a lag crosses max_up, phi* = max_up - floor(max_up / move_time) * move_tim
 A law that never relocates keeps the plain integral over u.
 
 p_no_fork takes one pass, whose tolerances scale with p_no_fork: the outer
-quadrature stops at a relative target of 0.1 quadrature_tol, and the sum past
-the window after n_max + 1 terms, n_max the least n with (1 - p)^(n + 1) <=
-1e-4 quadrature_tol, or once a bound on the terms it leaves out falls below
-that tail weight. Its error
-estimate adds the outer quadrature's, that bound and the fit's. With delta the
-cross-check's absolute error on G, hence on q, and n = I - 1, E|q~^n - q^n| is
-at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's inequality (t^((n-1)/n)
-is concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
+quadrature stops at a relative target of 0.1 quadrature_tol, and the sum past the
+window within the tail weight 1e-4 quadrature_tol. There q_j = q(x + j move_time) =
+a (1-p)^j + b rho^j, rho = exp(-rate move_time), is c m^j (1 + e w^j), m = max(1-p, rho),
+w = min(1-p, rho) / m. With n = I - 1, g = (1-p) m^n and e_J = e w^J, the terms past J
+are p (1-p)^J q_J^n m^n (1 + e_J)^(-n) sum_(i>=1) g^(i-1) (1 + e_J w^i)^n, whose
+binomial series through e_J^3 sums by sum_i g^(i-1) w^(k i) = w^k / (1 - g w^k) (expm1).
+What it misses, and its e_J^3 term, are within C(n, 3) |e_J|^3 (1 + |e_J|)^(n-3) w^3 /
+(1 - g w^3) times the factor before the sum (Taylor), plus e's rounding. As q does not
+rise with the lag, the terms and the zeroth order lie in [0, (1-p)^J q_J^n]. The sum
+stops after the first block of terms where the smaller bound is below the tail weight;
+where rho = 1 - p only the second falls. Past _MAX_TERMS terms, which takes p and
+|rate move_time + log(1-p)| both below about 1e-4, QuadratureError names that cause;
+only a subnormal p, whose mean relocation count overflows, is refused (ConfigError).
+The error estimate adds the outer quadrature's, the largest bound a sum past the
+window keeps, and the fit's. With delta the cross-check's absolute error on G, hence
+on q, E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
+inequality (t^((n-1)/n) is concave), where
+E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
 """
 
 from __future__ import annotations
@@ -58,10 +68,9 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import DiscreteLatency, LatencyDistribution, uplink_latency
-from .model import AnalyticResult, ConfigError, LatencyModel, QuadratureError, SystemConfig
+from .model import AnalyticResult, LatencyModel, QuadratureError, SystemConfig
 
 __all__ = [
-    "MIXTURE_DEPTH_CAP",
     "QuadratureError",
     "integrate_adaptive",
     "survival_prob",
@@ -167,33 +176,10 @@ def integrate_adaptive(f, a, b, *, rel_tol=1e-8, abs_tol=0.0, max_intervals=256,
 
 # --- survival probability of one competitor ------------------------------
 
-# Hard cap on relocation-mixture components; beyond this the config implies
-# astronomically many relocations and analytic evaluation is impractical.
-MIXTURE_DEPTH_CAP = 200_000
-
-
-def _mixture_depth(dist: LatencyDistribution, tol: float) -> int:
-    """n_max, the smallest n with (1 - p)^(n + 1) <= 1e-4 tol, in closed form; 0 for a law
-    that never relocates. ConfigError past MIXTURE_DEPTH_CAP components."""
-    p = dist.success_prob
-    if dist.variant is not LatencyModel.TOTAL or p >= 1.0:
-        return 0
-    tail_mass = 1e-4 * tol
-    components = math.log(tail_mass) / math.log1p(-p)  # n + 1 before rounding up
-    if components > MIXTURE_DEPTH_CAP + 1:  # checked in float: a subnormal p gives inf
-        raise ConfigError(
-            [
-                f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components for tail "
-                f"mass {tail_mass:g}; the location success probability {p:.3g} is "
-                "impractically small (lower snr_threshold_db or raise tx_power_w)"
-            ]
-        )
-    return math.ceil(components) - 1
-
-
 # Element budget of the (point x relocation count) blocks that the survival
 # sums work on, so their memory does not grow with the mixture depth.
 _BLOCK = 1 << 13
+_MAX_TERMS = 1 << 18  # most terms a sum past the uplink window takes
 
 
 def _antiderivative(coef, scl: float):
@@ -294,8 +280,7 @@ class _SurvivalEvaluator:
         self._onset = onset = float(uplink_latency(top_snr, dist.ack_bits, dist.bandwidth_hz))
         self.relocates = dist.variant is LatencyModel.TOTAL and dist.success_prob < 1.0
         if self.relocates:
-            p = dist.success_prob
-            self._log_stay = math.log1p(-p)
+            self._log_stay, self._log_rho = math.log1p(-dist.success_prob), -rate * dist.move_time
             # beyond this count p (1-p)^n underflows to an exact 0
             self._n_zero = math.ceil(750.0 / -self._log_stay)
             self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
@@ -352,7 +337,7 @@ class _SurvivalEvaluator:
         summed from its largest term (i = j if rho >= 1-p, else i = 1) by expm1,
         so a ratio near 1 keeps its precision.
         """
-        log_stay, log_rho = self._log_stay, -self.rate * self.dist.move_time
+        log_stay, log_rho = self._log_stay, self._log_rho
         decay = self.rate * (x_last - self.dist.max_uplink)
         top = np.exp(log_rho + (j - 1.0) * max(log_rho, log_stay) - decay)
         step = -abs(log_rho - log_stay)  # the log ratio of each next smaller term
@@ -377,14 +362,14 @@ class _SurvivalEvaluator:
         out = np.minimum(out, 1.0).reshape(np.shape(t_star))
         return out if np.ndim(t_star) else float(out)
 
-    def phase_sum(self, phi, power: int, terms: int):
+    def phase_sum(self, phi, power: int, tail: float):
         """sum_k f_up(phi + k move_time) S_k(phi) for phases phi in (0, min(move_time, max_up)]
         (see the module docstring). One walk gives A_j from the onset (below it
         q = 1 and f_up = 0) up to the last lag with uplink density, j = last, and
-        ``_beyond_sum`` gives S_(last+1) from at most ``terms`` mixture components.
+        ``_beyond_sum`` gives S_(last+1) to within ``tail``.
         The sum over k is taken in the walk's order, as sum_j p A_j D_j +
         (1-p) D_last S_(last+1) with D_j = (1-p) D_(j-1) + f_up(phi + j move_time).
-        Returns (sums, skipped); ``skipped`` bounds the terms left out."""
+        Returns (sums, skipped); ``skipped`` bounds the error of every S_(last+1)."""
         d = self.dist
         if not self.relocates:  # the phase is the uplink latency itself
             return d.uplink_pdf(phi) * self._q_component(phi) ** power, 0.0
@@ -401,26 +386,53 @@ class _SurvivalEvaluator:
             for k, q in self._walk(ph, last):
                 mixed = stay * mixed + dens[k]
                 total += p * mixed * q**power
-            tail, cut = self._beyond_sum(q, ph + last * tm, power, terms)
-            out[start : start + rows] = total + stay * mixed * tail
+            tail_sum, cut = self._beyond_sum(q, ph + last * tm, power, tail)
+            out[start : start + rows] = total + stay * mixed * tail_sum
             skipped = max(skipped, cut)
         return out, skipped
 
-    def _beyond_sum(self, q_last, x_last, power, terms):
-        """sum_{i>=0} p (1-p)^i q(x_last + (i+1) move_time)^power, i < terms, in blocks of i
-        until the terms left are below the tail weight. Returns (sums, skipped): q does not rise
-        with the lag, so after J terms (1-p)^J q(x_last + J move_time)^power bounds all the rest."""
-        p = self.dist.success_prob
+    def _beyond_sum(self, q_last, x_last, n, tail):
+        """sum_{j>=1} p (1-p)^(j-1) q(x_last + j move_time)^n to within ``tail``: blocks of j,
+        then the module docstring's series for the rest. Returns (sums, skipped), ``skipped``
+        the largest bound on what the series misses."""
+        p, log_stay, log_rho = self.dist.success_prob, self._log_stay, self._log_rho
+        log_m, log_w, a_wins = max(log_stay, log_rho), -abs(log_rho - log_stay), log_stay > log_rho
+        head, log_g, w = p * math.exp(n * log_m), log_stay + n * log_m, math.exp(log_w)
+        # the series' terms but for e_J^k: C(n, k) sum_i g^(i-1) w^(k i)
+        cs = [math.comb(n, k) * w**k / -math.expm1(log_g + k * log_w) for k in range(4)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a nan e leaves the rest bound
+            b = p * self.carry * np.exp(log_rho - self.rate * (x_last - self.dist.max_uplink))
+            b /= math.exp(log_stay) * math.expm1(log_rho - log_stay)
+            e = b / (q_last - b) if a_wins else (q_last - b) / b
+            # e's rounding, through b's, which grows as rho nears 1 - p
+            grain = 1e-15 * (1.0 - log_rho - log_stay) * (1.0 - np.divide(1.0, log_w))
+            slack = grain * (1.0 + np.abs(e)) * (np.abs(e) if a_wins else 1.0)
         total = np.zeros(q_last.shape)
-        cols = max(16, _BLOCK // len(q_last))
-        for j0 in range(1, terms + 1, cols):  # j = i + 1 steps past x_last
-            j = np.arange(j0, min(j0 + cols, terms + 1), dtype=float)
-            qj = self._beyond(q_last[:, None], x_last[:, None], j) ** power
-            total += qj @ (p * np.exp((j - 1.0) * self._log_stay))
-            rest = float(np.max(qj[:, -1])) * math.exp(j[-1] * self._log_stay)
-            if rest <= (1.0 - p) ** terms:  # the tail weight
-                break
-        return total, rest
+        # past the J with (1-p)^J <= tail the rest bound alone stops the sum
+        cols = min(max(16, _BLOCK // len(q_last)), math.ceil(math.log(tail) / log_stay))
+        for j0 in range(1, _MAX_TERMS + 1, cols):  # j = i + 1 steps past x_last
+            j = np.arange(j0, j0 + cols, dtype=float)
+            qj = self._beyond(q_last[:, None], x_last[:, None], j) ** n
+            total += qj @ (p * np.exp((j - 1.0) * log_stay))
+            rest = qj[:, -1] * math.exp(j[-1] * log_stay)
+            series, skipped = cs[0], float(np.max(rest))  # the zeroth order, in [0, rest]
+            if skipped > tail:  # try the series' own bound
+                shrink = math.exp(j[-1] * log_w)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    e_j, d_j = e * shrink, slack * shrink
+                    top = np.abs(e_j) + d_j
+                    bound = rest * head * np.exp(-n * np.log1p(-top)) * (
+                        cs[3] * top**3 * np.exp((n - 3) * np.log1p(top))
+                        + 2 * n * d_j * cs[0] * (1 + n * top) ** 3 / (1 - top)  # e's rounding
+                    )
+                    full = sum(cs[k] * e_j**k for k in range(4)) * np.exp(-n * np.log1p(e_j))
+                    series = np.where(bound < rest, full, cs[0])  # not where bound is nan
+                    skipped = float(np.max(np.fmin(bound, rest)))
+            if skipped <= tail:
+                return total + rest * head * series, skipped
+        raise QuadratureError(f"relocation mixture sum exceeds {_MAX_TERMS} terms: rate move_time "
+                              "is within about 1e-4 of -log(1 - p), and p is below about 1e-4",
+                              error_estimate=skipped)
 
 
 _evaluator = lru_cache(maxsize=32)(_SurvivalEvaluator)  # (dist, rate) -> evaluator
@@ -478,13 +490,12 @@ def no_forking_probability(config: SystemConfig, *, dist=None) -> tuple[float, f
         return float(weights @ q ** (num - 1)), 0.0
 
     tol = config.quadrature_tol
-    terms = _mixture_depth(dist, tol) + 1  # refuses a config past the cap before any build
     ev = _evaluator(dist, rate)
     hi, n, skipped = dist.max_uplink, num - 1, 0.0
 
     def integrand(phi):
         nonlocal skipped
-        sums, cut = ev.phase_sum(phi, n, terms)
+        sums, cut = ev.phase_sum(phi, n, 1e-4 * tol)
         skipped = max(skipped, cut)
         return sums
 

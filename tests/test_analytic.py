@@ -17,9 +17,7 @@ from scipy import integrate as scipy_integrate
 import forkwork
 from forkwork import analytic, model
 from forkwork.analytic import (
-    MIXTURE_DEPTH_CAP,
     QuadratureError,
-    _mixture_depth,
     expected_min_compute_latency,
     expected_mobility_latency,
     expected_uplink_latency,
@@ -38,6 +36,12 @@ TOL = default_config().quadrature_tol
 
 def _dist(cfg=None) -> LatencyDistribution:
     return LatencyDistribution.from_config(cfg or default_config())
+
+
+def _depth(d, tol=TOL) -> int:
+    """The least n with (1 - p)^(n + 1) <= 1e-4 tol: past it the mixture weighs at most the
+    tail weight of the sums past the uplink window."""
+    return math.ceil(math.log(1e-4 * tol) / math.log1p(-d.success_prob)) - 1
 
 
 # --- adaptive quadrature ------------------------------------------------
@@ -246,7 +250,7 @@ def test_survival_two_point_discrete():
 
 def test_survival_monotone_in_lag_and_rate():
     d = _dist()
-    grid = np.linspace(0.0, _mixture_depth(d, TOL) * d.move_time + 2 * d.max_uplink, 300)
+    grid = np.linspace(0.0, _depth(d) * d.move_time + 2 * d.max_uplink, 300)
     q = survival_prob(grid, d)
     assert np.all(np.diff(q) <= 1e-12)
     q_fast = survival_prob(grid, d, compute_rate=4 * d.compute_rate)
@@ -357,7 +361,7 @@ def test_survival_window_matches_component_loop():
     d = _dist(_fig4_config(1.0, 0.05))  # mixture depth 190
     ev = analytic._evaluator(d, d.compute_rate)
     assert d.uplink_cdf(ev._onset) == 0.0  # no mass below the onset
-    t = np.linspace(-0.01, _mixture_depth(d, TOL) * d.move_time + 2 * d.max_uplink, 997)
+    t = np.linspace(-0.01, _depth(d) * d.move_time + 2 * d.max_uplink, 997)
     assert np.max(np.abs(survival_prob(t, d) - _component_loop_q(ev, d, t))) <= 1e-14
 
 
@@ -376,10 +380,10 @@ def test_survival_far_past_the_window_matches_an_fsum_reference():
     assert np.max(np.abs(survival_prob(t, d) - ref)) <= 3e-15
 
 
-def _beyond_sum_against_brute_force(ev, phases, power, terms):
-    """``ev._beyond_sum`` of at most ``terms`` terms at the window's last lags, the count of
-    terms it took, and the gap to a sum through ``_beyond`` of every term whose weight is
-    above 1e-20."""
+def _beyond_sum_against_brute_force(ev, phases, power, tail=1e-4 * TOL):
+    """``ev._beyond_sum`` to within ``tail`` at the window's last lags, the last count of terms
+    it took, and the gap to a sum through ``_beyond`` of every term whose weight is above
+    1e-20."""
     d = ev.dist
     p, tm = d.success_prob, d.move_time
     x_last = d.max_uplink - tm + tm * phases
@@ -392,7 +396,7 @@ def _beyond_sum_against_brute_force(ev, phases, power, terms):
 
     ev._beyond = recording
     try:
-        sums, skipped = ev._beyond_sum(q_last, x_last, power, terms)
+        sums, skipped = ev._beyond_sum(q_last, x_last, power, tail)
     finally:
         del ev._beyond
     i = np.arange(math.ceil(math.log(1e-20) / ev._log_stay), dtype=float)
@@ -402,31 +406,29 @@ def _beyond_sum_against_brute_force(ev, phases, power, terms):
 
 
 def test_beyond_sum_bounds_what_it_leaves_out_when_it_stops_early():
-    # 512 phases: blocks of 16 terms, and the terms fall below the tail weight
-    # at J = 176 of n_max + 1 = 191
+    # 512 phases: blocks of 16 terms, and after the second the bound of the series for
+    # the rest is below the tail weight, at J = 32 of the 191 terms past which (1-p)^J
+    # is below it. That bound is the third-order term's, which the series includes, so
+    # what it misses is far below its bound
     d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate)
-    terms = _mixture_depth(d, TOL) + 1
     phases = np.linspace(0.0, 1.0, 513)[1:]
-    skipped, last, gap = _beyond_sum_against_brute_force(ev, phases, 9, terms)
-    assert last < terms
-    assert 0.0 < skipped <= (1.0 - d.success_prob) ** terms  # the tail weight
-    assert np.all(gap <= skipped + 1e-15)
-    assert np.max(gap) >= 0.5 * skipped  # what it left out is real, not rounding
+    skipped, last, gap = _beyond_sum_against_brute_force(ev, phases, 9)
+    assert last == 32
+    assert 0.0 < skipped <= 1e-4 * TOL  # the tail weight
+    assert np.max(np.abs(gap)) <= 1e-2 * skipped
 
 
-def test_beyond_sum_bounds_what_it_leaves_out_when_it_runs_out():
-    # 8 phases: blocks of 1024 columns, so the first holds all n_max + 1 terms and
-    # the sum runs out; the components past n_max that it leaves out weigh 8.7e-13
-    # in all and must be in its bound
+def test_beyond_sum_bounds_what_it_leaves_out_when_it_runs_out(monkeypatch):
+    # with room for one block of 16 terms, neither bound on the rest is below the tail
+    # weight there: the sum gives up, naming its count, with the bound it reached
+    monkeypatch.setattr(analytic, "_MAX_TERMS", 16)
     d = _dist(_fig4_config(1.0, 0.05))
     ev = analytic._evaluator(d, d.compute_rate)
-    terms = _mixture_depth(d, TOL) + 1
-    phases = np.linspace(0.0, 1.0, 9)[1:]
-    skipped, last, gap = _beyond_sum_against_brute_force(ev, phases, 1, terms)
-    assert last == terms
-    assert np.all(gap <= skipped + 1e-15)
-    assert np.max(gap) >= 0.5 * skipped > 0.0
+    phases = np.linspace(0.0, 1.0, 513)[1:]
+    with pytest.raises(QuadratureError, match="relocation mixture sum exceeds 16 terms") as exc:
+        _beyond_sum_against_brute_force(ev, phases, 9)
+    assert 1e-4 * TOL < exc.value.error_estimate < math.inf
 
 
 def test_phase_sum_matches_component_loop():
@@ -444,7 +446,7 @@ def test_phase_sum_matches_component_loop():
     mixture = np.array([(p * (1.0 - p) ** m) @ powers[i + m] for i in k])  # row k: S_k(phi)
     dens = d.uplink_pdf(phi + tm * k[:, None])
     ref = (dens * mixture).sum(axis=0)
-    sums, skipped = ev.phase_sum(phi, power, _mixture_depth(d, 1e-11) + 1)
+    sums, skipped = ev.phase_sum(phi, power, 1e-4 * 1e-11)
     assert skipped <= 1e-15
     # each S_k is a mixture of probabilities, so the error scales with sum_k f_up
     assert np.max(np.abs(sums - ref) / dens.sum(axis=0)) <= 1e-13 + skipped
@@ -452,7 +454,7 @@ def test_phase_sum_matches_component_loop():
 
 def test_survival_memory_does_not_grow_with_mixture_depth():
     d = _dist(_fig4_config(2.0, 0.05))
-    n_max = _mixture_depth(d, TOL)
+    n_max = _depth(d)
     assert n_max == 1494
     survival_prob(0.1, d)  # build the evaluator outside the measurement
     t = np.linspace(0.0, n_max * d.move_time + d.max_uplink, 100_000)
@@ -467,43 +469,86 @@ def test_survival_memory_does_not_grow_with_mixture_depth():
     assert np.all(np.diff(q) <= 1e-12)
 
 
-# --- mixture depth -----------------------------------------------------------
+# --- the mixture past the uplink window ---------------------------------------
 
 
 def test_mixture_tail_mass_bound():
-    d = _dist()
-    p, n_max, tail = d.success_prob, _mixture_depth(d, TOL), 1e-4 * TOL
-    assert (1 - p) ** (n_max + 1) <= tail < (1 - p) ** n_max  # the smallest such depth
-    assert (p * (1 - p) ** np.arange(n_max + 1)).sum() >= 1 - tail
+    # what the sum past the window leaves out is within the bound it reports, and that
+    # bound within the tail weight, where rho = exp(-rate move_time) is below 1 - p (the
+    # default link, and 8.5x the mean SNR at a depth of some 102,000 to 1e-9), above it (fig4,
+    # 0.5 W at half the mean SNR) and equal to it to rounding
+    phases = np.linspace(0.0, 1.0, 9)[1:]
+    for cfg in (default_config(), default_config(snr_fraction=8.5), _fig4_config(0.5, 0.5),
+                _tuned_rates(4.6, 0.0)):
+        d = _dist(cfg)
+        ev = analytic._evaluator(d, d.compute_rate)
+        for power, tail in itertools.product((1, 2, 9, 999), (1e-9, 1e-15)):
+            skipped, _, gap = _beyond_sum_against_brute_force(ev, phases, power, tail)
+            assert skipped <= tail
+            assert np.all(np.abs(gap) <= skipped + 1e-15), (cfg, power, tail)
 
 
 def test_mixture_depth_cap():
-    # the threshold at 21x the mean SNR: success probability e^-21, ~3.6e10 components;
-    # the law builds, and p_n refuses the config before it builds an evaluator
+    # the threshold at 21x the mean SNR: success probability e^-21, and some 3.6e10 terms
+    # to the tail weight, where a depth cap of 200,000 once refused p_n; relocation, not
+    # compute, decides the race
     cfg = default_config(snr_fraction=21.0)
-    d = _dist(cfg)
-    with pytest.raises(ConfigError, match="relocation mixture needs"):
-        _mixture_depth(d, TOL)
-    analytic._evaluator.cache_clear()
-    message = f"relocation mixture needs more than {MIXTURE_DEPTH_CAP} components"
-    with pytest.raises(ConfigError, match=message):
-        no_forking_probability(cfg)
-    assert analytic._evaluator.cache_info().misses == 0
+    p, err = no_forking_probability(cfg)
+    assert err <= cfg.quadrature_tol * p
+    assert abs(p - 1.0 / cfg.num_miners) <= 1e-6
     assert no_forking_probability(replace(cfg, num_miners=1)) == (1.0, 0.0)
-    # wireless-only never sums the mixture
-    assert _mixture_depth(replace(d, variant=LatencyModel.WIRELESS_ONLY), TOL) == 0
+
+
+# elements of q the sums past the window took in each fig4 law, in preset order, and in
+# the grid at half and at the full mean SNR, when they summed to a depth
+FIG4_BEYOND = [3600, 2280, 1560, 1200, 960, 7320, 3600, 2280, 1440, 1200,
+               22920, 7320, 3600, 2040, 1440, 97920, 22920, 7320, 3000, 2040]
+GRID_BEYOND = {0.5: 3600, 1.0: 7320}
+
+
+def _beyond_elements(cfg):
+    """p_n of ``cfg`` from a cold evaluator, and the elements of q that ``_beyond`` gave."""
+    analytic._evaluator.cache_clear()
+    real, sizes = analytic._SurvivalEvaluator._beyond, []
+
+    def counting(self, q_last, x_last, j):
+        out = real(self, q_last, x_last, j)
+        sizes.append(out.size)
+        return out
+
+    analytic._SurvivalEvaluator._beyond = counting
+    try:
+        p, err = no_forking_probability(cfg)
+    finally:
+        analytic._SurvivalEvaluator._beyond = real
+        analytic._evaluator.cache_clear()
+    return (p, err), sum(sizes)
+
+
+def test_work_past_the_window_does_not_grow_with_the_depth():
+    # a machine-independent work counter. At 8.5x the mean SNR and I = 2, a sum to the
+    # depth of 135,786 terms took 1,003 blocks and 8,184,480 elements
+    (p, err), elements = _beyond_elements(default_config(2, snr_fraction=8.5))
+    assert elements <= 8_184_480 // 5
+    assert abs(p - 0.5461742915425194) <= 1.0106594857110623e-12  # the sum to the depth
+    for (_, _, cfg), before in zip(preset_jobs("fig4"), FIG4_BEYOND, strict=True):
+        assert _beyond_elements(cfg)[1] <= before
+    for miners, tx, fraction in itertools.product((2, 5, 10, 20), (0.1, 1.0), (0.5, 1.0)):
+        cfg = default_config(miners, tx_power_w=tx, snr_fraction=fraction)
+        assert _beyond_elements(cfg)[1] <= GRID_BEYOND[fraction]
 
 
 def test_configs_differing_only_in_tolerance_share_one_law_and_fit():
     cfg = _fig4_config(1.0, 0.05)
     tight = replace(cfg, quadrature_tol=1e-11)
     assert _dist(cfg) == _dist(tight)
-    assert _mixture_depth(_dist(cfg), TOL) < _mixture_depth(_dist(tight), 1e-11)
     analytic._evaluator.cache_clear()
     loose_p, loose_err = no_forking_probability(cfg)
     tight_p, tight_err = no_forking_probability(tight)
     assert analytic._evaluator.cache_info().misses == 1
-    assert tight_err < loose_err and abs(tight_p - loose_p) <= loose_err + tight_err
+    # the sums past the window meet both tail weights in closed form; what is left of the
+    # budget, the fit's term, does not depend on the tolerance
+    assert tight_err <= loose_err and abs(tight_p - loose_p) <= loose_err + tight_err
 
 
 # --- no-forking probability ------------------------------------------------
@@ -842,6 +887,7 @@ LIGHT_MPS = 3.0e8  # the model's speed of light
 # the absolute floor lets panels where F_up underflows to 0 converge
 QUAD = {"epsrel": 1e-12, "epsabs": 1e-17, "limit": 200}
 TAIL = 1e-17  # relocation counts whose (1-p)^count is below this are dropped
+DEEP = 100_000  # past this many such counts, the sum past T is taken in closed form
 
 
 def reference_no_fork(cfg) -> float:
@@ -868,6 +914,12 @@ def reference_no_fork(cfg) -> float:
     and h(s) = h(T) e^(-rate (s - T)) + 1 - e^(-rate (s - T)). Each integral is
     scipy's QUADPACK at relative tolerance 1e-12; the integrand of phi has a
     kink where a lag crosses T.
+
+    A law whose counts above TAIL number more than DEEP is summed past T in
+    closed form. There q = 1 - r follows q_(k+j) = (1-p) q_(k+j-1) + c e^(-rate t_m j),
+    k the last lag in the window, so q_(k+j) = A (1-p)^j + B e^(-rate t_m j) with
+    B = c / (1 - (1-p) e^(rate t_m)) and A = q_k - B, and the binomial expansion of
+    q^(I-1) turns sum_j p (1-p)^(j-1) q_(k+j)^(I-1) into I geometric series.
     """
     ch, mn = cfg.channel, cfg.miner
     wavelength = LIGHT_MPS / ch.carrier_frequency_hz
@@ -884,6 +936,10 @@ def reference_no_fork(cfg) -> float:
         depth = math.ceil(math.log(TAIL) / math.log1p(-p))
     else:  # no relocation delay: one count, and every lag phi alone
         p, step, depth = 1.0, top, 0
+    deep = depth > DEEP
+    if deep:
+        assert power <= 20  # the binomial terms would cancel at large I
+        depth = 0
 
     def log_cdf(x):
         """(log F_up(x), ln 2 K / (B x)) for 0 < x < T."""
@@ -928,12 +984,26 @@ def reference_no_fork(cfg) -> float:
             r = (1.0 - p) * r + p * h
             q_powers.append(math.exp(power * math.log1p(-r)) if r < 1.0 else 0.0)
         # sum_m p (1-p)^m q(phi + (j + m) t_m)^(I-1), from the last lag back
-        total, mixed = 0.0, 0.0
+        total, mixed = 0.0, (beyond(phi, inside, h, 1.0 - r) if deep else 0.0)
         for k in range(len(q_powers) - 1, -1, -1):
             mixed = p * q_powers[k] + (1.0 - p) * mixed
             if k <= inside:
                 total += pdf(phi + k * step) * mixed
         return total
+
+    def beyond(phi, inside, h, q):
+        """sum_(j>=1) p (1-p)^(j-1) q_(inside+j)^power from h and q at the lag inside."""
+        last = phi + inside * step
+        h_top = math.exp(-rate * (top - last)) * h + panel(last, top)
+        log_stay, log_rho = math.log1p(-p), -rate * step
+        c = p * (1.0 - h_top) * math.exp(-rate * (last - top))
+        b = c / -math.expm1(log_stay - log_rho)
+        a = q - b
+        return sum(
+            math.comb(power, i) * a**i * b ** (power - i) * p * math.exp(x - log_stay) / -math.expm1(x)
+            for i in range(power + 1)
+            for x in [(i + 1) * log_stay + (power - i) * log_rho]  # log of the series' ratio
+        )
 
     span = min(step, top)
     kink = top - math.floor(top / step) * step
@@ -943,6 +1013,14 @@ def reference_no_fork(cfg) -> float:
 
 def _with_rate(cfg, lambda0):
     return replace(cfg, miner=replace(cfg.miner, lambda0=lambda0))
+
+
+def _tuned_rates(snr_fraction, gap, num_miners=10):
+    """The default link with lambda0 set so that rate move_time + log(1 - p) = gap, to rounding:
+    exp(-rate move_time), the compute decay over one relocation, is 1 - p for gap = 0."""
+    cfg = default_config(num_miners, snr_fraction=snr_fraction)
+    d = cfg.derived
+    return _with_rate(cfg, (gap - math.log1p(-d.success_prob)) / (d.move_time_s * cfg.miner.compute_power_w))
 
 
 def _wireless_only(snr_fraction):
@@ -982,6 +1060,14 @@ SMALL_PN = {
 }
 
 
+# relocating laws past the depth cap of 200,000 terms that once refused p_n at I >= 2
+PAST_THE_OLD_CAP = {
+    "9x-I=10": default_config(10, snr_fraction=9.0),
+    "12x-I=2": default_config(2, snr_fraction=12.0),
+    "25x-I=2": default_config(2, snr_fraction=25.0),
+}
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -996,12 +1082,14 @@ SMALL_PN = {
         WIRELESS_FAST,
         *FAST_OR_LARGE.values(),
         *SMALL_PN.values(),
+        *PAST_THE_OLD_CAP.values(),
     ],
     ids=[
         "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "fig4-depth-1494",
         "wireless_only-2x", "wireless_only-I=50-lambda0=40",
         *FAST_OR_LARGE,
         *SMALL_PN,
+        *PAST_THE_OLD_CAP,
     ],
 )
 def test_no_fork_within_its_error_estimate_of_the_reference(cfg):
@@ -1009,3 +1097,38 @@ def test_no_fork_within_its_error_estimate_of_the_reference(cfg):
     assert result.quadrature_error <= cfg.quadrature_tol * result.no_fork_prob
     # and within 1e-12 at most, where I = 100,000 reports a larger estimate
     assert abs(result.no_fork_prob - reference_no_fork(cfg)) <= min(result.quadrature_error, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "snr_fraction, gap, num_miners, answers",
+    [(4.6, 0.0, 10, True), (4.6, 1e-5, 10, True), (13.8, 0.0, 2, False)],
+    ids=["p=0.01-equal", "p=0.01-1e-5", "p=1e-6-equal"],
+)
+def test_analytic_where_compute_decay_meets_the_stay_probability_ends(
+    tmp_path, snr_fraction, gap, num_miners, answers
+):
+    # exp(-rate move_time) = 1 - p to rounding, or 1e-5 apart in the log as in the slowest
+    # configs of a scan over I up to 3e6 and thresholds up to 8x the mean SNR: the closed
+    # form's bound falls slowly or not at all, and the bound (1-p)^J q_J^(I-1) stops the sum
+    # after of order 28 / (I p) terms; at I = 2 and p = 1e-6 that is past _MAX_TERMS, a stated
+    # failure. A child process with a timeout turns a hang into a failure.
+    cfg = _tuned_rates(snr_fraction, gap, num_miners)
+    d = cfg.derived
+    assert abs(d.compute_rate * d.move_time_s + math.log1p(-d.success_prob) - gap) <= 1e-15
+    config, out = tmp_path / "config.txt", tmp_path / "row.csv"
+    config.write_text(model.config_text(cfg))
+    package_root = str(Path(analytic.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    code = "import sys; from forkwork.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "analytic", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    if not answers:
+        assert done.returncode == 2, done.stderr
+        assert "relocation mixture sum exceeds 262144 terms" in done.stderr
+        return
+    assert done.returncode == 0, done.stderr
+    header, row = out.read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert abs(float(row["p_n"]) - reference_no_fork(cfg)) <= float(row["p_n_err"])

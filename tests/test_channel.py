@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from forkwork.analytic import _mixture_depth
 from forkwork.channel import (
     DiscreteLatency,
     LatencyDistribution,
@@ -20,7 +19,7 @@ from forkwork.simulator import _race
 
 RATE = 0.32  # default compute rate
 TOL = default_config().quadrature_tol
-TAIL = 1e-4 * TOL  # mixture mass past the default tolerance's depth, _mixture_depth(d, TOL)
+TAIL = 1e-4 * TOL  # mixture mass past mixture_depth(d)
 
 
 def _dist(**overrides) -> LatencyDistribution:
@@ -39,11 +38,18 @@ def _snr(d, uplink):
     return np.exp2(d.ack_bits / (d.bandwidth_hz * uplink)) - 1.0
 
 
+def mixture_depth(d) -> int:
+    """The least n with (1 - p)^(n + 1) <= TAIL; 0 for a law that never relocates."""
+    if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
+        return 0
+    return math.ceil(math.log(TAIL) / math.log1p(-d.success_prob)) - 1
+
+
 def mixture_weights(d) -> np.ndarray:
-    """Truncated geometric weights of the relocation count (sums to >= 1 - TAIL by default)."""
+    """Truncated geometric weights of the relocation count (sums to >= 1 - TAIL)."""
     if d.variant is LatencyModel.WIRELESS_ONLY or d.success_prob >= 1.0:
         return np.array([1.0])
-    return d.success_prob * (1.0 - d.success_prob) ** np.arange(_mixture_depth(d, TOL) + 1)
+    return d.success_prob * (1.0 - d.success_prob) ** np.arange(mixture_depth(d) + 1)
 
 
 def total_cdf(d, t):
@@ -243,13 +249,13 @@ def test_total_cdf_support():
     d = _dist()
     assert total_cdf(d, -0.5) == 0.0
     assert total_cdf(d, 0.0) == 0.0
-    top = _mixture_depth(d, TOL) * d.move_time + d.max_uplink
+    top = mixture_depth(d) * d.move_time + d.max_uplink
     assert total_cdf(d, top) >= 1 - TAIL
 
 
 def test_total_cdf_monotone():
     d = _dist()
-    grid = np.linspace(0.0, _mixture_depth(d, TOL) * d.move_time + d.max_uplink, 400)
+    grid = np.linspace(0.0, mixture_depth(d) * d.move_time + d.max_uplink, 400)
     vals = total_cdf(d, grid)
     assert np.all(np.diff(vals) >= -1e-12)
 
