@@ -38,25 +38,24 @@ summed once into S at the window's end. The integrand's one breakpoint is
 where a lag crosses max_up, phi* = max_up - floor(max_up / move_time) * move_time.
 A law that never relocates keeps the plain integral over u.
 
-p_no_fork takes one pass, whose tolerances scale with p_no_fork: the outer
-quadrature stops at a relative target of 0.1 quadrature_tol, and the sum past the
-window within the tail weight 1e-4 quadrature_tol. There q_j = q(x + j move_time) =
-a (1-p)^j + b rho^j, rho = exp(-rate move_time), is c m^j (1 + e w^j), m = max(1-p, rho),
-w = min(1-p, rho) / m. With n = I - 1, g = (1-p) m^n and e_J = e w^J, the terms past J
-are p (1-p)^J q_J^n m^n (1 + e_J)^(-n) sum_(i>=1) g^(i-1) (1 + e_J w^i)^n, whose
-binomial series through e_J^3 sums by sum_i g^(i-1) w^(k i) = w^k / (1 - g w^k) (expm1).
-What it misses, and its e_J^3 term, are within C(n, 3) |e_J|^3 (1 + |e_J|)^(n-3) w^3 /
-(1 - g w^3) times the factor before the sum (Taylor), plus e's rounding. As q does not
-rise with the lag, the terms and the zeroth order lie in [0, (1-p)^J q_J^n]. The sum
-stops after the first block of terms where the smaller bound is below the tail weight;
-where rho = 1 - p only the second falls. Past _MAX_TERMS terms, which takes p and
-|rate move_time + log(1-p)| both below about 1e-4, QuadratureError names that cause;
-only a subnormal p, whose mean relocation count overflows, is refused (ConfigError).
-The error estimate adds the outer quadrature's, the largest bound a sum past the
-window keeps, and the fit's. With delta the cross-check's absolute error on G, hence
-on q, E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
-inequality (t^((n-1)/n) is concave), where
-E[(q~ + delta)^n] <= p_no_fork + the other terms + n delta e^(n delta).
+p_no_fork takes one pass, whose tolerances scale with p_no_fork: the outer quadrature stops
+at a relative target of 0.1 quadrature_tol, and the sum past the window at the tail weight
+1e-4 quadrature_tol. There q_j = q(x + j move_time) = a (1-p)^j + b rho^j = c m^j (1 + e w^j),
+with rho = exp(-rate move_time), m = max(1-p, rho) and w = min(1-p, rho) / m. With n = I - 1,
+g = (1-p) m^n and e_J = e w^J, the terms past J are P (1 + e_J)^(-n) times
+sum_(i>=1) g^(i-1) (1 + e_J w^i)^n, P = p (1-p)^J q_J^n m^n, whose binomial series through
+e_J^2 sums by sum_i g^(i-1) w^(k i) = w^k / (1 - g w^k). By Taylor it misses at most
+P (1 - |e_J|)^(-n) C(n, 3) |e_J|^3 (1 + |e_J|)^(n-3) w^3 / (1 - g w^3); an error d_J in e_J
+(b's rounding) adds at most n d_J P / ((1 - g) (1 - |e_J| - d_J)^(n+1)). As q does not rise
+with the lag, the terms and P / (1 - g) lie in [0, (1-p)^J q_J^n]. The sum stops at the first
+block where the smaller bound is below the tail weight; where rho = 1 - p only the second
+falls, and past _MAX_TERMS terms (p and |rate move_time + log(1-p)| both below about 1e-4)
+QuadratureError names that cause. Only a subnormal p, whose mean relocation count overflows,
+is refused (ConfigError). The error estimate adds the outer quadrature's, the largest bound a
+sum past the window keeps, and the fit's. With delta the cross-check's absolute error on G,
+hence on q, E|q~^n - q^n| is at most n delta E[(q~ + delta)^n]^((n-1)/n) by Jensen's
+inequality (t^((n-1)/n) is concave), where E[(q~ + delta)^n] <= p_no_fork + the other terms
++ n delta e^(n delta).
 """
 
 from __future__ import annotations
@@ -392,42 +391,36 @@ class _SurvivalEvaluator:
         return out, skipped
 
     def _beyond_sum(self, q_last, x_last, n, tail):
-        """sum_{j>=1} p (1-p)^(j-1) q(x_last + j move_time)^n to within ``tail``: blocks of j,
-        then the module docstring's series for the rest. Returns (sums, skipped), ``skipped``
-        the largest bound on what the series misses."""
+        """sum_{j>=1} p (1-p)^(j-1) q(x_last + j move_time)^n to within ``tail``, in blocks of
+        j, each closed by the module docstring's series for the rest. Returns (sums, skipped),
+        ``skipped`` the largest bound on what that series misses."""
         p, log_stay, log_rho = self.dist.success_prob, self._log_stay, self._log_rho
-        log_m, log_w, a_wins = max(log_stay, log_rho), -abs(log_rho - log_stay), log_stay > log_rho
+        log_m, log_w = max(log_stay, log_rho), -abs(log_rho - log_stay)
         head, log_g, w = p * math.exp(n * log_m), log_stay + n * log_m, math.exp(log_w)
-        # the series' terms but for e_J^k: C(n, k) sum_i g^(i-1) w^(k i)
+        # C(n, k) sum_i g^(i-1) w^(k i), the series' factor of e_J^k
         cs = [math.comb(n, k) * w**k / -math.expm1(log_g + k * log_w) for k in range(4)]
-        with np.errstate(divide="ignore", invalid="ignore"):  # a nan e leaves the rest bound
+        with np.errstate(divide="ignore", invalid="ignore"):  # rho = 1 - p: a nan e
             b = p * self.carry * np.exp(log_rho - self.rate * (x_last - self.dist.max_uplink))
             b /= math.exp(log_stay) * math.expm1(log_rho - log_stay)
-            e = b / (q_last - b) if a_wins else (q_last - b) / b
-            # e's rounding, through b's, which grows as rho nears 1 - p
-            grain = 1e-15 * (1.0 - log_rho - log_stay) * (1.0 - np.divide(1.0, log_w))
-            slack = grain * (1.0 + np.abs(e)) * (np.abs(e) if a_wins else 1.0)
+            e = b / (q_last - b) if log_stay > log_rho else (q_last - b) / b
+            # b's rounding, a few ulps and |log rho| + |log(1-p)| more from the exps, through e
+            slack = 2e-15 * (1.0 - log_rho - log_stay) * (1.0 + np.abs(e)) ** 2
         total = np.zeros(q_last.shape)
-        # past the J with (1-p)^J <= tail the rest bound alone stops the sum
         cols = min(max(16, _BLOCK // len(q_last)), math.ceil(math.log(tail) / log_stay))
         for j0 in range(1, _MAX_TERMS + 1, cols):  # j = i + 1 steps past x_last
             j = np.arange(j0, j0 + cols, dtype=float)
             qj = self._beyond(q_last[:, None], x_last[:, None], j) ** n
             total += qj @ (p * np.exp((j - 1.0) * log_stay))
-            rest = qj[:, -1] * math.exp(j[-1] * log_stay)
-            series, skipped = cs[0], float(np.max(rest))  # the zeroth order, in [0, rest]
-            if skipped > tail:  # try the series' own bound
-                shrink = math.exp(j[-1] * log_w)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    e_j, d_j = e * shrink, slack * shrink
-                    top = np.abs(e_j) + d_j
-                    bound = rest * head * np.exp(-n * np.log1p(-top)) * (
-                        cs[3] * top**3 * np.exp((n - 3) * np.log1p(top))
-                        + 2 * n * d_j * cs[0] * (1 + n * top) ** 3 / (1 - top)  # e's rounding
-                    )
-                    full = sum(cs[k] * e_j**k for k in range(4)) * np.exp(-n * np.log1p(e_j))
-                    series = np.where(bound < rest, full, cs[0])  # not where bound is nan
-                    skipped = float(np.max(np.fmin(bound, rest)))
+            rest, shrink = qj[:, -1] * math.exp(j[-1] * log_stay), math.exp(j[-1] * log_w)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                e_j, d_j = e * shrink, slack * shrink
+                top = np.abs(e_j) + d_j  # Taylor's remainder, then d_j times the rest's slope
+                bound = rest * head * np.exp(-n * np.log1p(-top)) * (
+                    cs[3] * top**3 * np.exp((n - 3) * np.log1p(top)) + n * d_j * cs[0] / (1 - top)
+                )
+                full = sum(cs[k] * e_j**k for k in range(3)) * np.exp(-n * np.log1p(e_j))
+                series = np.where(bound < rest, full, cs[0])  # head cs[0] is in [0, 1]
+            skipped = float(np.max(np.fmin(bound, rest)))  # not where bound is nan
             if skipped <= tail:
                 return total + rest * head * series, skipped
         raise QuadratureError(f"relocation mixture sum exceeds {_MAX_TERMS} terms: rate move_time "

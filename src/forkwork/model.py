@@ -13,7 +13,6 @@ appear only at the config-file boundary.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import partial
@@ -438,8 +437,7 @@ def _field_items(obj, prefix: str = ""):
 def config_digest(config: SystemConfig) -> str:
     """Short stable hash of the exact value of every SystemConfig field (CSV provenance)."""
     blob = ";".join(f"{k}={v!r}" for k, v in _field_items(config))
-    names = ("_sha2", "_sha256", "hashlib")  # builtin SHA-256 (3.12+, 3.10/3.11): no OpenSSL
-    for name in names[2:] if "hashlib" in sys.modules else names:  # hashlib once it is loaded
+    for name in ("_sha2", "_sha256", "hashlib"):  # builtin SHA-256 (3.12+, 3.10/3.11): no OpenSSL
         try:
             return __import__(name).sha256(blob.encode()).hexdigest()[:12]
         except ImportError:

@@ -261,18 +261,13 @@ def test_config_keeps_derived_scalars_outside_its_fields():
     assert moved.derived.compute_rate == 2 * cfg.derived.compute_rate
 
 
-# the digest's SHA-256 sources in the order it tries them while hashlib is not loaded: the
-# builtin _sha2 (3.12+) or _sha256 (3.10, 3.11), then hashlib (OpenSSL) only where neither
-# exists; once hashlib is loaded, as numpy.random loads it under simulate and sweep, hashlib
+# the digest's SHA-256 sources in the order it tries them: the builtin _sha2 (3.12+) or
+# _sha256 (3.10, 3.11), then hashlib (OpenSSL) only where neither exists
 DIGEST_MODULES = ("_sha2", "_sha256", "hashlib")
 
 
-@pytest.mark.parametrize(
-    "source, loaded",
-    [*((name, False) for name in DIGEST_MODULES), ("hashlib", True)],
-    ids=[*DIGEST_MODULES, "hashlib-loaded"],
-)
-def test_config_digest_is_hashlib_sha256_from_every_source(monkeypatch, source, loaded):
+@pytest.mark.parametrize("source", DIGEST_MODULES)
+def test_config_digest_is_hashlib_sha256_from_every_source(monkeypatch, source):
     configs = [default_config()]
     configs += [
         default_config(miners, tx_power_w=tx, snr_fraction=fraction)
@@ -285,12 +280,8 @@ def test_config_digest_is_hashlib_sha256_from_every_source(monkeypatch, source, 
     for cfg in configs:
         blob = ";".join(f"{k}={v!r}" for k, v in model._field_items(cfg))
         expected.append(hashlib.sha256(blob.encode()).hexdigest()[:12])
-    if loaded:  # the builtin modules stay importable, and are passed over
-        assert "hashlib" in sys.modules
-    else:
-        monkeypatch.delitem(sys.modules, "hashlib")
-        for earlier in DIGEST_MODULES[: DIGEST_MODULES.index(source)]:
-            monkeypatch.setitem(sys.modules, earlier, None)  # its import now raises ImportError
+    for earlier in DIGEST_MODULES[: DIGEST_MODULES.index(source)]:
+        monkeypatch.setitem(sys.modules, earlier, None)  # its import now raises ImportError
     try:
         module = importlib.import_module(source)
     except ImportError:

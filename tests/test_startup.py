@@ -5,9 +5,7 @@ use, a sweep loads both halves before it starts a pool, and the CLI caps the
 BLAS threads before numpy loads. ``analytic`` and loading a config load neither
 ``numpy.polynomial`` nor OpenSSL (``_hashlib``): the CSV's config hash takes
 SHA-256 from the interpreter's builtin module. ``simulate`` and ``sweep`` still
-load ``_hashlib``, through ``numpy.random`` and its ``secrets`` import, and the
-hash then takes ``hashlib``'s SHA-256 instead of loading a builtin one (checked
-as ``_sha256`` on 3.10 and 3.11; on 3.12 ``random`` loads ``_sha2`` itself). Each
+load ``_hashlib``, through ``numpy.random`` and its ``secrets`` import. Each
 check runs in a child interpreter, since this process has long since imported
 all of it."""
 
@@ -74,7 +72,7 @@ HALVES = ("forkwork.analytic", "forkwork.simulator")
         ),
         (
             ["simulate", "--trials", "2000", "--blocks", "100", "--workers", "1"],
-            ("forkwork.analytic", "numpy.polynomial", "_sha256"),
+            ("forkwork.analytic", "numpy.polynomial"),
         ),
     ],
     ids=["analytic", "simulate-1-worker"],
