@@ -280,9 +280,10 @@ class _SurvivalEvaluator:
         self.relocates = dist.variant is LatencyModel.TOTAL and dist.success_prob < 1.0
         if self.relocates:
             self._log_stay, self._log_rho = math.log1p(-dist.success_prob), -rate * dist.move_time
-            # beyond this count p (1-p)^n underflows to an exact 0
-            self._n_zero = math.ceil(750.0 / -self._log_stay)
-            self._window = min(math.ceil((hi - self._onset) / dist.move_time) + 1, self._n_zero)
+            # the lags in the uplink window, or fewer: beyond 750 / -log(1-p) counts
+            # p (1-p)^n underflows to an exact 0, and at a tiny p that bound is inf
+            lags = (hi - onset) / dist.move_time + 1
+            self._window = math.ceil(min(lags, 750.0 / -self._log_stay))
 
         self._decayed = _DecayedFit(dist.uplink_pdf, rate, onset, hi)
         self.carry = self._decayed.total
@@ -316,10 +317,10 @@ class _SurvivalEvaluator:
     def _walk(self, u, last: int):
         """Yield (k, q(u + k move_time)) for k = 0..last, by the recurrence from
         lags at or below the onset, where q = 1; counts that far back weigh
-        (1-p)^n_zero = 0 when the walk is cut there."""
+        p (1-p)^n = 0 when the walk is cut at the window."""
         p, tm = self.dist.success_prob, self.dist.move_time
         stay = 1.0 - p
-        first = -min(max(1, math.ceil((float(np.max(u)) - self._onset) / tm)), self._n_zero)
+        first = -min(max(1, math.ceil((float(np.max(u)) - self._onset) / tm)), self._window)
         ks = np.arange(first + 1, last + 1)
         g = self._q_component(ks[:, None] * tm + u)
         q = np.ones(u.shape)
@@ -406,7 +407,7 @@ class _SurvivalEvaluator:
             # b's rounding, a few ulps and |log rho| + |log(1-p)| more from the exps, through e
             slack = 2e-15 * (1.0 - log_rho - log_stay) * (1.0 + np.abs(e)) ** 2
         total = np.zeros(q_last.shape)
-        cols = min(max(16, _BLOCK // len(q_last)), math.ceil(math.log(tail) / log_stay))
+        cols = math.ceil(min(max(16, _BLOCK // len(q_last)), math.log(tail) / log_stay))
         for j0 in range(1, _MAX_TERMS + 1, cols):  # j = i + 1 steps past x_last
             j = np.arange(j0, j0 + cols, dtype=float)
             qj = self._beyond(q_last[:, None], x_last[:, None], j) ** n

@@ -114,62 +114,37 @@ class LatencyDistribution:
 
     # -- uplink marginal ------------------------------------------------
 
-    def _excess_snr_arg(self, t):
-        """snr_rate * (2^(K/(B t)) - 1 - threshold), computed stably.
+    def _excess(self, t):
+        """(t clipped to [0, max_uplink], x there): the excess of the SNR that sends in time t
+        over the threshold, in units of its mean, x = snr_rate (2^(K/(B t)) - 1 - threshold).
 
-        Rewritten as rate * (1 + threshold) * expm1(ln2*K/B * (1/t - 1/t_max))
-        which is exact near t_max and overflows cleanly to +inf as t -> 0.
+        As 1 + threshold = 2^(K/(B max_uplink)), x = snr_rate (1 + threshold)
+        expm1(ln2 K/B (max_uplink - t) / (t max_uplink)): max_uplink - t is exact
+        near the edge, where 1/t - 1/max_uplink would cancel. x is 0 at and beyond
+        max_uplink, overflows cleanly to +inf as t -> 0, and is +inf at and below 0.
         """
-        scale = _LN2 * self.ack_bits / self.bandwidth_hz
-        with np.errstate(over="ignore"):
-            w = scale * (1.0 / t - 1.0 / self.max_uplink)
-            return self.snr_rate * (1.0 + self.snr_threshold) * np.expm1(w)
+        t, top = np.clip(np.asarray(t, dtype=float), 0.0, self.max_uplink), self.max_uplink
+        with np.errstate(divide="ignore", over="ignore"):
+            w = _LN2 * self.ack_bits / self.bandwidth_hz * (top - t) / (t * top)
+            return t, self.snr_rate * (1.0 + self.snr_threshold) * np.expm1(w)
 
     def uplink_cdf(self, z):
-        """P(T_up <= z); 0 at or below 0, 1 at and beyond max_uplink."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        out[z >= self.max_uplink] = 1.0
-        inside = (z > 0.0) & (z < self.max_uplink)
-        if np.any(inside):
-            with np.errstate(over="ignore"):
-                out[inside] = np.exp(-self._excess_snr_arg(z[inside]))
-        return out if out.shape else float(out)
+        """P(T_up <= z) = e^(-x); 0 at or below 0, 1 at and beyond max_uplink."""
+        return np.exp(-self._excess(z)[1])
 
     def uplink_ccdf(self, z):
-        """P(T_up > z); 1 at or below 0, 0 at and beyond max_uplink."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        out[z <= 0.0] = 1.0
-        inside = (z > 0.0) & (z < self.max_uplink)
-        if np.any(inside):
-            with np.errstate(over="ignore"):
-                out[inside] = -np.expm1(-self._excess_snr_arg(z[inside]))
-        return out if out.shape else float(out)
+        """P(T_up > z) = -expm1(-x); 1 at or below 0, 0 at and beyond max_uplink."""
+        return -np.expm1(-self._excess(z)[1])
 
     def uplink_pdf(self, t):
-        """Density of T_up on (0, max_uplink]; 0 elsewhere.
-
-        Evaluated in log space: the factor exp(-rate * 2^(K/(B t))) decays
-        faster than the remaining factors grow, so the density underflows
-        to an exact 0 near t = 0 instead of producing inf * 0.
-        """
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        inside = (t > 0.0) & (t <= self.max_uplink)
-        if np.any(inside):
-            ti = t[inside]
-            bits_exponent = _LN2 * self.ack_bits / (self.bandwidth_hz * ti)
-            with np.errstate(over="ignore", invalid="ignore"):
-                log_pdf = (
-                    math.log(self.snr_rate)
-                    - self._excess_snr_arg(ti)
-                    + np.log(_LN2 * self.ack_bits / (self.bandwidth_hz * ti * ti))
-                    + bits_exponent
-                )
-                vals = np.exp(log_pdf)
-            out[inside] = np.where(np.isnan(vals), 0.0, vals)
-        return out if out.shape else float(out)
+        """Density of T_up, (x + snr_rate (1 + threshold)) ln2 K / (B t^2) e^(-x), on
+        (0, max_uplink]; 0 elsewhere and where e^(-x) underflows, as t -> 0."""
+        clipped, x = self._excess(t)
+        cdf = np.exp(-x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf * 0 at t <= 0, not taken
+            dens = (x + self.snr_rate * (1.0 + self.snr_threshold)) * cdf
+            dens *= _LN2 * self.ack_bits / self.bandwidth_hz / (clipped * clipped)
+        return np.where((cdf > 0.0) & (np.asarray(t) <= self.max_uplink), dens, 0.0)[()]
 
     # -- sampling ---------------------------------------------------------
 

@@ -36,6 +36,7 @@ from .model import (
     config_values,
     default_channel,
     default_config,
+    default_miner,
     load_config,
     mean_snr,
     parse_flat_text,
@@ -181,17 +182,15 @@ def preset_jobs(name: str) -> list[tuple[str, object, SystemConfig]]:
     if name in ("fig2", "fig3"):
         base = default_config()
         return [("num_miners", i, replace(base, num_miners=i)) for i in range(1, 21)]
-    if name == "fig4":
+    if name == "fig4":  # each point's config built once, at its own threshold
         reference_snr = mean_snr(default_channel(tx_power_w=0.1))
-        jobs = []
-        for q in (0.25, 0.5, 1.0, 2.0):
-            for ptx in (0.05, 0.1, 0.2, 0.5, 1.0):
-                cfg = default_config(tx_power_w=ptx)
-                cfg = replace(
-                    cfg, channel=replace(cfg.channel, snr_threshold=q * reference_snr)
-                )
-                jobs.append((f"tx_power_w@snr_q={q:g}", ptx, cfg))
-        return jobs
+        return [
+            (f"tx_power_w@snr_q={q:g}", ptx, SystemConfig(
+                num_miners=10, miner=default_miner(),
+                channel=replace(default_channel(ptx), snr_threshold=q * reference_snr),
+            ))
+            for q in (0.25, 0.5, 1.0, 2.0) for ptx in (0.05, 0.1, 0.2, 0.5, 1.0)
+        ]
     raise ConfigError([f"unknown preset: {name} (available: {', '.join(PRESETS)})"])
 
 

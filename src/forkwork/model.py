@@ -412,7 +412,9 @@ def load_config(path) -> SystemConfig:
 
 
 def config_text(config: SystemConfig) -> str:
-    """Emit a config in file form (round-trips through parse_config_text)."""
+    """Emit a config in file form. Read back by parse_config_text, the text is a fixed
+    point and every field comes back exactly except the linear snr_threshold: the file
+    holds it in dB, so it may move by a few ulps."""
     lines = []
     for key, (section, name, unit) in _KEYS.items():
         value = getattr(getattr(config, section) if section else config, name)

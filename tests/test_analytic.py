@@ -185,8 +185,8 @@ def test_integrator_breakpoints_sorted_and_deduplicated(points):
 
 def test_integrator_error_covers_rounding():
     # f_up is accurate only to rounding: at rel_tol 1e-14 its integral over the
-    # support comes out 7.5e-15 above 1, which the truncation estimate alone
-    # (4.6e-15) did not cover
+    # support can come out a few ulps above 1 (once 7.5e-15), more than the
+    # truncation estimate alone (4.6e-15) covers
     d = _dist(_wireless_only(2.0))
     value, err = integrate_adaptive(d.uplink_pdf, d.max_uplink * 1e-12, d.max_uplink, rel_tol=1e-14)
     assert abs(value - 1.0) <= err <= 1e-13
@@ -231,6 +231,11 @@ def test_survival_rejects_a_rate_that_is_not_finite_and_positive(law, rate):
     d = _dist() if law == "mixture" else DiscreteLatency.constant(0.1)
     with pytest.raises(ValueError, match="compute_rate"):
         survival_prob(0.2, d, compute_rate=rate)
+
+
+def test_survival_of_a_discrete_law_needs_a_rate():
+    with pytest.raises(ValueError, match="compute_rate is required with a DiscreteLatency"):
+        survival_prob(0.2, DiscreteLatency.constant(0.1))
 
 
 def test_survival_tiny_rate_is_one():
@@ -1073,6 +1078,14 @@ PAST_THE_OLD_CAP = {
     "25x-I=2": default_config(2, snr_fraction=25.0),
 }
 
+# thresholds at 70x and 100x the mean SNR, where the uplink law's 1/t - 1/max_uplink once
+# cancelled near max_uplink and left the fit a rounding floor above COEF_TOL
+HIGH_THRESHOLD = {
+    f"{fraction:g}x-{kind.value}": default_config(10, snr_fraction=fraction, latency_model=kind)
+    for fraction in (70.0, 100.0)
+    for kind in LatencyModel
+}
+
 
 @pytest.mark.parametrize(
     "cfg",
@@ -1089,6 +1102,7 @@ PAST_THE_OLD_CAP = {
         *FAST_OR_LARGE.values(),
         *SMALL_PN.values(),
         *PAST_THE_OLD_CAP.values(),
+        *HIGH_THRESHOLD.values(),
     ],
     ids=[
         "default", "I=2", "lambda0=5", "wireless_only", "fig4-depth-29", "fig4-depth-1494",
@@ -1096,6 +1110,7 @@ PAST_THE_OLD_CAP = {
         *FAST_OR_LARGE,
         *SMALL_PN,
         *PAST_THE_OLD_CAP,
+        *HIGH_THRESHOLD,
     ],
 )
 def test_no_fork_within_its_error_estimate_of_the_reference(cfg):
@@ -1103,6 +1118,16 @@ def test_no_fork_within_its_error_estimate_of_the_reference(cfg):
     assert result.quadrature_error <= cfg.quadrature_tol * result.no_fork_prob
     # and within 1e-12 at most, where I = 100,000 reports a larger estimate
     assert abs(result.no_fork_prob - reference_no_fork(cfg)) <= min(result.quadrature_error, 1e-12)
+
+
+@pytest.mark.parametrize("cfg", HIGH_THRESHOLD.values(), ids=HIGH_THRESHOLD)
+def test_high_threshold_answers_in_process_and_after_a_file_round_trip(cfg):
+    # the file moves the linear threshold by a few ulps; both configs answer, and agree
+    back = model.parse_config_text(model.config_text(cfg))
+    assert back.channel.snr_threshold != cfg.channel.snr_threshold
+    here, there = evaluate(cfg), evaluate(back)
+    gap = abs(here.no_fork_prob - there.no_fork_prob)
+    assert gap <= here.quadrature_error + there.quadrature_error
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -200,6 +201,26 @@ def test_uplink_pdf_matches_cdf_derivative():
         h = d.max_uplink * 1e-7
         numeric = (d.uplink_cdf(t + h) - d.uplink_cdf(t - h)) / (2 * h)
         assert d.uplink_pdf(t) == pytest.approx(numeric, rel=1e-4)
+
+
+@pytest.mark.parametrize("snr_fraction", [1.0, 8.0, 25.0, 70.0, 100.0])
+def test_uplink_law_at_its_edge_matches_a_60_digit_reference(snr_fraction):
+    # t = max_uplink (1 - 10^k): 1/t - 1/max_uplink cancels there, max_uplink - t does not.
+    # The reference takes the law's own max_uplink as the edge, x = rate (1 + threshold)
+    # (e^(ln2 K/B (1/t - 1/max_uplink)) - 1), in decimal at 60 digits from the exact floats
+    d = LatencyDistribution.from_config(default_config(snr_fraction=snr_fraction))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        top = Decimal(d.max_uplink)
+        c = Decimal(d.snr_rate) * (1 + Decimal(d.snr_threshold))
+        scale = Decimal(2).ln() * Decimal(d.ack_bits) / Decimal(d.bandwidth_hz)
+        for k in range(-12, -1):
+            t = d.max_uplink * (1.0 - 10.0**k)
+            x = c * ((scale * (1 / Decimal(t) - 1 / top)).exp() - 1)
+            ccdf = 1 - (-x).exp()
+            pdf = (x + c) * scale / Decimal(t) ** 2 * (-x).exp()
+            assert abs(Decimal(float(d.uplink_ccdf(t))) / ccdf - 1) <= Decimal("1e-15"), k
+            assert abs(Decimal(float(d.uplink_pdf(t))) / pdf - 1) <= Decimal("1e-14"), k
 
 
 def test_uplink_pdf_normalizes():

@@ -13,6 +13,7 @@ import pytest
 from forkwork import analytic, channel, cli, model, simulator
 from forkwork.analytic import QuadratureError, evaluate
 from forkwork.model import (
+    ConfigError,
     LatencyModel,
     SystemConfig,
     config_digest,
@@ -256,6 +257,19 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["not-a-command"]) == 1
 
 
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: forkwork")
+
+
+def test_nan_config_value_names_its_key(tmp_path, capsys):
+    text = config_text(default_config())
+    path = tmp_path / "nan.txt"
+    path.write_text(re.sub(r"(?m)^noise_psd_dbm_hz = .*$", "noise_psd_dbm_hz = nan", text))
+    assert cli.main(["analytic", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: noise_psd_dbm_hz must be finite\n"
+
+
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 @pytest.mark.parametrize(
     "snr_fraction, message",
@@ -281,11 +295,9 @@ def test_law_construction_error_exit_code(tmp_path, capsys, command, snr_fractio
 # thresholds at f x the mean SNR past where a depth cap of 200,000 mixture components
 # once refused p_n (an exit 1), up to a subnormal success probability at f = 720. None
 # may hang (the child's timeout) or overflow (a traceback). Below f = 720 both commands
-# answer, with p_n near 1 / I as the relocations dwarf every compute time, except that
-# analytic at f = 100 may exit 2: its survival fit is at its rounding floor there, so
-# whether it stops at the panel budget turns on the threshold's last bit, a limit of the
-# fit that relocation takes no part in. At f = 720 the mean relocation count overflows
-# for both commands
+# answer, with p_n near 1 / I as the relocations dwarf every compute time; analytic at
+# f = 100 once exited 2 when 1/t - 1/max_uplink cancelled in the uplink law. At f = 720
+# the mean relocation count overflows for both commands
 @pytest.mark.parametrize("command", ["analytic", "simulate"])
 @pytest.mark.parametrize("snr_fraction", [25.0, 29.0, 40.0, 100.0, 720.0])
 def test_mixture_depth_cap_is_config_error(tmp_path, command, snr_fraction):
@@ -296,10 +308,6 @@ def test_mixture_depth_cap_is_config_error(tmp_path, command, snr_fraction):
     if snr_fraction == 720.0:
         assert done.returncode == 1
         assert done.stderr.startswith("config error: mean relocation count")
-        assert not out.exists()
-    elif command == "analytic" and done.returncode == 2:
-        assert snr_fraction == 100.0
-        assert "piecewise fit exceeded the panel budget" in done.stderr
         assert not out.exists()
     else:
         assert done.returncode == 0, done.stderr
@@ -321,6 +329,21 @@ def test_analytic_single_miner_past_the_depth_cap_answers(tmp_path):
     path = _write_config(tmp_path, replace(cfg, num_miners=2))
     assert cli.main(["analytic", path, "--out", str(out)]) == 0
     assert abs(float(_finite_row(out)["p_n"]) - 0.5) <= 1e-8
+
+
+# at 704x to 709x the mean SNR p (about 1e-306 and below) made 750 / -log(1 - p), a count,
+# overflow to inf, a traceback, and from 707x so did the block of terms past the window,
+# log(1e-12) / log(1 - p); p is subnormal, a config error, from about 710x
+@pytest.mark.parametrize("latency_model", list(LatencyModel))
+@pytest.mark.parametrize("snr_fraction", [704.0, 707.0, 709.0])
+def test_analytic_just_below_a_subnormal_success_ends_cleanly(
+    tmp_path, capsys, snr_fraction, latency_model
+):
+    cfg = default_config(snr_fraction=snr_fraction, latency_model=latency_model)
+    code = cli.main(["analytic", _write_config(tmp_path, cfg), "--out", str(tmp_path / "row.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert err.startswith("no-forking probability: " if code == 0 else "quadrature failure: ")
 
 
 # wireless-only draws relocations too: at f = 720 the success probability is
@@ -642,6 +665,28 @@ def test_sweep_preset_fig2_shape(tmp_path):
     assert [int(r["value"]) for r in rows] == list(range(1, 21))
 
 
+def test_sweep_preset_fig4_builds_each_point_once(tmp_path, monkeypatch):
+    # the preset builds each of its 20 configs once; the sweep rebuilds each with its seed
+    calls = []
+    real = model.derive
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "derive", counting)
+    assert len(cli.preset_jobs("fig4")) == len(calls) == 20
+    calls.clear()
+    args = ["sweep", "--preset", "fig4", "--trials", "100", "--blocks", "100"]
+    assert cli.main(args + ["--out", str(tmp_path / "fig4.csv")]) == 0
+    assert len(calls) == 40
+
+
+def test_unknown_preset_lists_the_presets():
+    with pytest.raises(ConfigError, match="unknown preset: fig5 \\(available: fig2, fig3, fig4\\)"):
+        cli.preset_jobs("fig5")
+
+
 def test_sweep_preset_deterministic_across_workers(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--preset", "fig2", "--trials", "800", "--blocks", "100"]
@@ -802,6 +847,19 @@ def test_sweep_point_past_mixture_depth_cap_leaves_empty_cells(tmp_path):
     assert len(warnings) == 2  # in point order: both for 720x
     assert "analytic failed: mean relocation count" in warnings[0]
     assert "simulation failed: mean relocation count" in warnings[1]
+
+
+def test_sweep_point_just_below_a_subnormal_success_keeps_its_row(tmp_path):
+    # at 705x a count of 750 / -log(1 - p) once overflowed in the analytic half and the
+    # sweep wrote no table; now every point has its row
+    out = tmp_path / "two.csv"
+    done = _cli_in_child(["sweep", _threshold_spec(tmp_path, 1.0, 705.0), "--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    header, rows = _rows(out.read_text())
+    assert len(rows) == 2
+    assert all(rows[0][c] != "" for c in header)
+    assert rows[1]["p_n_sim"] != ""
 
 
 def test_sweep_warning_names_its_point_by_repr_and_matches_the_row_as_a_float(tmp_path):

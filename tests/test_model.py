@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import pickle
+import random
 import sys
 from dataclasses import fields, is_dataclass, replace
 
@@ -170,13 +171,29 @@ def test_derive_rejects_near_field():
 
 
 def test_config_round_trip():
-    cfg = default_config(num_miners=7)
-    back = parse_config_text(config_text(cfg))
-    # snr_threshold passes through a dB conversion, everything else is exact
-    assert back.channel.snr_threshold == pytest.approx(cfg.channel.snr_threshold, rel=1e-12)
-    assert replace(back, channel=replace(back.channel, snr_threshold=0.1)) == replace(
-        cfg, channel=replace(cfg.channel, snr_threshold=0.1)
-    )
+    # the file holds the threshold in dB, so the linear threshold read back may move by a
+    # few ulps (26 at most over 2,000 such configs); every other field comes back exactly,
+    # and the text of the config read back is the text it was read from
+    rng = random.Random(7)
+    for _ in range(1000):
+        cfg = default_config(
+            rng.randint(1, 2000),
+            tx_power_w=10 ** rng.uniform(-2.0, 0.3),
+            snr_fraction=10 ** rng.uniform(-1.0, 2.0),
+            latency_model=rng.choice(list(LatencyModel)),
+        )
+        cfg = replace(cfg, miner=replace(cfg.miner, lambda0=10 ** rng.uniform(-2.4, 2.3)))
+        text = config_text(cfg)
+        back = parse_config_text(text)
+        assert config_text(back) == text
+        threshold, read = cfg.channel.snr_threshold, back.channel.snr_threshold
+        assert abs(read - threshold) <= 32 * math.ulp(threshold)
+        assert replace(back, channel=replace(back.channel, snr_threshold=threshold)) == cfg
+
+
+def test_latency_model_must_be_the_enum():
+    with pytest.raises(ConfigError, match="latency_model must be 'total' or 'wireless_only'"):
+        replace(default_config(), latency_model="total")
 
 
 def test_parse_missing_key_names_it():

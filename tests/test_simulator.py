@@ -431,6 +431,14 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
     assert started == [3, 2]  # one CPU: no pool at all
 
 
+def test_cpu_count_falls_back_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 5)
+    assert simulator._cpu_count() == 5
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)  # undeterminable: one
+    assert simulator._cpu_count() == 1
+
+
 def test_estimate_seed_changes_results():
     cfg = default_config(num_miners=5)
     a = estimate(cfg, num_blocks=100, num_round_trials=2000)
